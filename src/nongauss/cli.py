@@ -40,7 +40,13 @@ from .calibration import (
     read_smile_csv,
 )
 from .expansion import CumulantSet, density_barrier
-from .martingale import RateSpec, drift_closed_form_k15, gaussian_drift, solve_drift
+from .martingale import (
+    DriftSolveError,
+    RateSpec,
+    drift_closed_form_k15,
+    gaussian_drift,
+    solve_drift,
+)
 from .moving_barrier import BarrierPath, MovingBarrierScheme
 from .oracle import McConfig, mc_kuo_price
 from .pricing import (
@@ -86,9 +92,7 @@ class RunConfig:
     """Every persistent knob of a batch run, JSON-serializable and flat.
 
     A run re-executed from its own emitted config reproduces outputs bit for
-    bit — Monte Carlo seeds included.  ``order8_minus`` and ``plus_series``
-    are compatibility switches for the order-8 mixed-coefficient sign and
-    the ST series-factor sign; both default to the corrected conventions.
+    bit — Monte Carlo seeds included.
     """
 
     smile_csv: str | None = None
@@ -103,8 +107,6 @@ class RunConfig:
     mc_seed: int = 0
     mc_batch: int = 50_000
     jobs: int = 1
-    order8_minus: bool = False
-    plus_series: bool = False
 
     def resolved_out_dir(self) -> Path:
         out = self.out_dir or os.environ.get("NONGAUSS_OUT_DIR", ".")
@@ -185,10 +187,7 @@ def cmd_density(ns: argparse.Namespace, cfg: RunConfig) -> int:
     if barrier is not None:
         hi = min(hi, barrier.b_n)
     grid = np.linspace(lo, hi, ns.n_points)
-    pi = density_barrier(
-        c, barrier, _scheme(cfg), grid,
-        order8_minus=cfg.order8_minus, plus_series=cfg.plus_series,
-    )
+    pi = density_barrier(c, barrier, _scheme(cfg), grid)
     out = Path(ns.out) if ns.out else cfg.resolved_out_dir() / "density.csv"
     with open(out, "w") as fh:
         fh.write("omega,pi\n")
@@ -206,8 +205,8 @@ def _density_terms(c: CumulantSet, barrier: BarrierPath | None, cfg: RunConfig):
     from .expansion import barrier_terms, vanilla_terms
 
     if barrier is None:
-        return vanilla_terms(c, cfg.order8_minus)
-    return barrier_terms(c, barrier, _scheme(cfg), cfg.order8_minus, cfg.plus_series)
+        return vanilla_terms(c)
+    return barrier_terms(c, barrier, _scheme(cfg))
 
 
 def cmd_drift(ns: argparse.Namespace, cfg: RunConfig) -> int:
@@ -495,14 +494,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mc-batch", dest="mc_batch", type=int)
     p.add_argument("--smile", dest="smile_csv", help="smile CSV (date,maturity_months,delta,vol)")
     p.add_argument("--rates", dest="rates_csv", help="rates CSV (date,maturity_months,r_acc,forward)")
-    p.add_argument(
-        "--order8-minus", dest="order8_minus", action=argparse.BooleanOptionalAction,
-        help="legacy sign for the order-8 mixed coefficient",
-    )
-    p.add_argument(
-        "--plus-series", dest="plus_series", action=argparse.BooleanOptionalAction,
-        help="legacy +t sign inside the ST barrier series",
-    )
 
 
 def _add_model_flags(p: argparse.ArgumentParser, with_rates: bool = True) -> None:
@@ -584,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     except CsvFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DriftSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

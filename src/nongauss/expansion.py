@@ -9,9 +9,9 @@ values, the transition density is
     Pi = Pi0 + sum_{n=3}^{N} (-1)^n a_n D^n Pi0,
 
 where Pi0 is the free kernel (vanilla case) or the moving-barrier composite
-Pi^mb, D^n expands binomially over d/d omega_n and d/d B_n in the barrier
-case, and the coefficients collect single cumulants and second-order
-cumulant products:
+Pi^mb, D = d/d omega_n + d/d B_n is applied n times (on the free kernel,
+which does not depend on B_n, it is d/d omega_n), and the coefficients
+collect single cumulants and second-order cumulant products:
 
     a_n = kappa_n / n! + 1/2 sum_{i+j=n, i,j>=3} kappa_i kappa_j / (i! j!).
 
@@ -127,14 +127,12 @@ class CumulantSet:
 
 # -------------------------- expansion coefficients ------------------------- #
 
-def coefficient_terms(n: int, order8_minus: bool = False) -> dict[tuple[int, ...], Fraction]:
+def coefficient_terms(n: int) -> dict[tuple[int, ...], Fraction]:
     """Exact rational content of a_n, keyed by contributing cumulant orders.
 
     Keys are ``(n,)`` for the single-cumulant term kappa_n/n! and ``(i, j)``
     (i <= j, i + j = n) for the product terms; the value is the rational
-    multiplier of the corresponding kappa product.  ``order8_minus`` flips the
-    kappa_3 kappa_5 cross term to the alternative sign convention seen in some
-    write-ups of the order-8 bracket; the generation rule itself gives +.
+    multiplier of the corresponding kappa product.
     """
     if n < 3:
         return {}
@@ -148,8 +146,6 @@ def coefficient_terms(n: int, order8_minus: bool = False) -> dict[tuple[int, ...
         frac = Fraction(1, 2 * math.factorial(i) * math.factorial(j))
         if i != j:
             frac *= 2  # (i, j) and (j, i) collapse onto the sorted key
-        if order8_minus and (i, j) == (3, 5):
-            frac = -frac
         out[(i, j)] = frac
     return out
 
@@ -170,12 +166,12 @@ class ExpansionCoefficients:
         return {n: self.a(n) for n in range(3, self.order + 1)}
 
 
-def expansion_coefficients(c: CumulantSet, order8_minus: bool = False) -> ExpansionCoefficients:
+def expansion_coefficients(c: CumulantSet) -> ExpansionCoefficients:
     order = c.order
     values = []
     for n in range(3, order + 1):
         a_n = 0.0
-        for key, frac in coefficient_terms(n, order8_minus).items():
+        for key, frac in coefficient_terms(n).items():
             prod = float(frac)
             for m in key:
                 prod *= c.kappa(m)
@@ -187,42 +183,32 @@ def expansion_coefficients(c: CumulantSet, order8_minus: bool = False) -> Expans
 # -------------------------- derivative term tables ------------------------- #
 
 @lru_cache(maxsize=256)
-def _free_derivative_table(omega0: float, alpha: float, t: float, order: int) -> tuple[TermSum, ...]:
-    base = free_kernel_terms(GaussKernelParams(omega0, alpha, t))
+def _derivative_table(
+    alpha: float,
+    t: float,
+    barrier: BarrierPath | None,
+    scheme: MovingBarrierScheme | None,
+    order: int,
+) -> tuple[TermSum, ...]:
+    """D^0 .. D^order of Pi0, D = d/d omega + d/d B.
+
+    Pi0 is the free kernel when ``barrier`` is None (``scheme`` is then
+    unused) and the moving-barrier composite Pi^mb otherwise.
+    """
+    p = GaussKernelParams(0.0, alpha, t)
+    base = free_kernel_terms(p) if barrier is None else pi_mb_terms(p, barrier, scheme)
     table = [base]
     for _ in range(order):
-        table.append(differentiate(table[-1], "omega", 1))
+        table.append(differentiate(table[-1], "total", 1))
     return tuple(table)
 
 
-@lru_cache(maxsize=128)
-def _mb_derivative_table(
-    omega0: float,
-    alpha: float,
-    t: float,
-    barrier: BarrierPath,
-    scheme: MovingBarrierScheme,
-    order: int,
-    plus_series: bool = False,
-) -> dict[tuple[int, int], TermSum]:
-    """Mixed partials d_omega^i d_B^j Pi^mb for i + j <= order."""
-    base = pi_mb_terms(
-        GaussKernelParams(omega0, alpha, t), barrier, scheme, plus_series=plus_series
-    )
-    table: dict[tuple[int, int], TermSum] = {(0, 0): base}
-    for j in range(1, order + 1):
-        table[(0, j)] = differentiate(table[(0, j - 1)], "barrier", 1)
-    for i in range(1, order + 1):
-        for j in range(0, order - i + 1):
-            table[(i, j)] = differentiate(table[(i - 1, j)], "omega", 1)
-    return table
-
-
-def vanilla_terms(c: CumulantSet, order8_minus: bool = False) -> TermSum:
-    """The no-barrier density Pi^inf as a TermSum (only omega derivatives:
-    the barrier-derivative tower vanishes in the infinite-barrier limit)."""
-    coeffs = expansion_coefficients(c, order8_minus)
-    table = _free_derivative_table(0.0, c.drift(), c.t_n, coeffs.order)
+def _expansion_terms(
+    c: CumulantSet, barrier: BarrierPath | None, scheme: MovingBarrierScheme | None
+) -> TermSum:
+    """Pi0 + sum_n (-1)^n a_n D^n Pi0, with B still symbolic."""
+    coeffs = expansion_coefficients(c)
+    table = _derivative_table(c.drift(), c.t_n, barrier, scheme, coeffs.order)
     total = table[0]
     for n in range(3, coeffs.order + 1):
         a_n = coeffs.a(n)
@@ -232,38 +218,25 @@ def vanilla_terms(c: CumulantSet, order8_minus: bool = False) -> TermSum:
     return merge_terms(total)
 
 
+def vanilla_terms(c: CumulantSet) -> TermSum:
+    """The no-barrier density Pi^inf as a TermSum."""
+    return _expansion_terms(c, None, None)
+
+
 def barrier_terms(
     c: CumulantSet,
     barrier: BarrierPath,
     scheme: MovingBarrierScheme = MovingBarrierScheme.ST,
-    order8_minus: bool = False,
-    plus_series: bool = False,
 ) -> TermSum:
-    """The barrier density as a TermSum with B already bound to barrier.b_n.
-
-    Each derivative order mixes omega- and barrier-derivatives binomially:
-    D^n = sum_j C(n, j) d_omega^{n-j} d_B^j, applied to Pi^mb.
-    """
-    coeffs = expansion_coefficients(c, order8_minus)
-    table = _mb_derivative_table(
-        0.0, c.drift(), c.t_n, barrier, scheme, coeffs.order, plus_series
-    )
-    total = table[(0, 0)]
-    for n in range(3, coeffs.order + 1):
-        a_n = coeffs.a(n)
-        if a_n == 0.0:
-            continue
-        sign = (-1.0) ** n
-        for j in range(0, n + 1):
-            total = total + table[(n - j, j)].scaled(sign * a_n * math.comb(n, j))
-    return substitute_barrier(merge_terms(total), barrier.b_n)
+    """The barrier density as a TermSum with B already bound to barrier.b_n."""
+    return substitute_barrier(_expansion_terms(c, barrier, scheme), barrier.b_n)
 
 
 # ------------------------------ density values ----------------------------- #
 
-def density_vanilla(c: CumulantSet, omega_n, order8_minus: bool = False):
+def density_vanilla(c: CumulantSet, omega_n):
     """Non-Gaussian free density at horizon t_n, started from omega = 0."""
-    return evaluate(vanilla_terms(c, order8_minus), omega_n)
+    return evaluate(vanilla_terms(c), omega_n)
 
 
 def density_barrier(
@@ -271,8 +244,6 @@ def density_barrier(
     barrier: BarrierPath | None,
     scheme: MovingBarrierScheme,
     omega_n,
-    order8_minus: bool = False,
-    plus_series: bool = False,
 ):
     """Non-Gaussian density with an absorbing (possibly moving) barrier.
 
@@ -280,8 +251,8 @@ def density_barrier(
     The absorbed region omega_n >= B_n carries zero density.
     """
     if barrier is None:
-        return density_vanilla(c, omega_n, order8_minus)
-    f = barrier_terms(c, barrier, scheme, order8_minus, plus_series)
+        return density_vanilla(c, omega_n)
+    f = barrier_terms(c, barrier, scheme)
     w = np.asarray(omega_n, dtype=float)
     vals = np.where(w < barrier.b_n, evaluate(f, w), 0.0)
     return float(vals) if np.isscalar(omega_n) else vals

@@ -29,6 +29,7 @@ from .expansion import CumulantSet, expansion_coefficients, vanilla_terms
 from .symbolic import integrate_exp_poly
 
 __all__ = [
+    "DriftSolveError",
     "RateSpec",
     "drift_closed_form_k15",
     "drift_from_series",
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 _FACT15 = math.factorial(15)  # 1,307,674,368,000
+
+
+class DriftSolveError(RuntimeError):
+    """The martingale condition has no admissible root for the cumulant set."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ def solve_drift(c: CumulantSet, rates: RateSpec) -> float:
     lo, hi = a0 - 5.0, a0 + 5.0
     r_lo, r_hi = residual(lo), residual(hi)
     if r_lo * r_hi > 0.0:
-        raise RuntimeError(
+        raise DriftSolveError(
             "martingale residual has no sign change on "
             f"[{lo:.6g}, {hi:.6g}]: f(lo)={r_lo:.6g}, f(hi)={r_hi:.6g}"
         )
@@ -102,7 +107,7 @@ def solve_drift(c: CumulantSet, rates: RateSpec) -> float:
         - 1.0
     )
     if check > 1e-10:
-        raise RuntimeError(f"drift back-substitution residual {check:.3g} exceeds 1e-10")
+        raise DriftSolveError(f"drift back-substitution residual {check:.3g} exceeds 1e-10")
     return alpha
 
 

@@ -102,20 +102,14 @@ class BarrierPath:
             out = out + d * power / fact
         return float(out) if np.isscalar(t) else out
 
-    def series_factor(self, t_n: float, *, plus_series: bool = False) -> float:
-        """S = sum_{p>=1} (-t_n)^p B^(p) / p!  (the ST correction series).
-
-        ``plus_series`` flips the sign of t_n inside the sum — a
-        compatibility switch for reproducing outputs of sources that print
-        the series with +t_n, not for production use.
-        """
+    def series_factor(self, t_n: float) -> float:
+        """S = sum_{p>=1} (-t_n)^p B^(p) / p!  (the ST correction series)."""
         s = 0.0
         fact = 1.0
         power = 1.0
-        step = t_n if plus_series else -t_n
         for p, d in enumerate(self.derivs, start=1):
             fact *= p
-            power *= step
+            power *= -t_n
             s += power * d / fact
         return s
 
@@ -193,20 +187,16 @@ def _b_minus_w_sq_poly(scale: float) -> Array:
     return np.array([[0.0, 0.0, scale], [0.0, -2.0 * scale, 0.0], [scale, 0.0, 0.0]])
 
 
-def _pi1_terms(
-    p: GaussKernelParams, barrier: BarrierPath, plus_series: bool = False
-) -> TermSum:
-    s1 = barrier.series_factor(p.t, plus_series=plus_series)
+def _pi1_terms(p: GaussKernelParams, barrier: BarrierPath) -> TermSum:
+    s1 = barrier.series_factor(p.t)
     if s1 == 0.0:
         return TermSum((), _meta(p))
     scale = s1 * 2.0 / (_SQRT_2PI * p.t ** 1.5)
     return TermSum((GaussErfTerm(_b_minus_w_poly(scale), _image_expo(p)),), _meta(p))
 
 
-def _pi2_terms(
-    p: GaussKernelParams, barrier: BarrierPath, plus_series: bool = False
-) -> TermSum:
-    s1 = barrier.series_factor(p.t, plus_series=plus_series)
+def _pi2_terms(p: GaussKernelParams, barrier: BarrierPath) -> TermSum:
+    s1 = barrier.series_factor(p.t)
     if s1 == 0.0:
         return TermSum((), _meta(p))
     scale = -s1 * s1 * 2.0 / (_SQRT_2PI * p.t ** 2.5)
@@ -250,22 +240,17 @@ def _pi_c_terms(p: GaussKernelParams, barrier: BarrierPath) -> TermSum:
 
 
 def pi_mb_terms(
-    p: GaussKernelParams,
-    barrier: BarrierPath,
-    scheme: MovingBarrierScheme,
-    *,
-    plus_series: bool = False,
+    p: GaussKernelParams, barrier: BarrierPath, scheme: MovingBarrierScheme
 ) -> TermSum:
     """Composite moving-barrier density Pi^mb as a bivariate TermSum.
 
     Evaluating the result at B = barrier.b_n gives the density; keeping B
     symbolic lets the cumulant expansion take barrier derivatives.
-    ``plus_series`` is the ST series-sign compatibility switch.
     """
     barrier.validate_above_start(p.omega0, p.t)
     base = gm_terms(p)
     if scheme is MovingBarrierScheme.ST:
-        parts = (base, _pi1_terms(p, barrier, plus_series), _pi2_terms(p, barrier, plus_series))
+        parts = (base, _pi1_terms(p, barrier), _pi2_terms(p, barrier))
     elif scheme is MovingBarrierScheme.ADIABATIC:
         parts = (
             base,

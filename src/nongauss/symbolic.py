@@ -12,9 +12,11 @@ the coefficients.  The family is closed under differentiation:
 
     d/dx [P e^q Erfc(l)] = (P' + P q') e^q Erfc(l) - P (2/sqrt(pi)) l' e^{q - l^2}
 
-and q - l^2 is again a quadratic form, so high-order mixed partials (needed
-up to order 15 by the cumulant expansion) stay exact and cheap.  Like terms
-(same exponent, same Erfc argument) are merged after every pass.
+and q - l^2 is again a quadratic form, so high-order derivatives stay exact
+and cheap.  Besides the two partials, x may be the total direction
+D = d/d omega + d/d B, the only derivative the cumulant expansion takes (up
+to order 15).  Like terms (same exponent, same Erfc argument) are merged
+after every pass.
 
 Polynomials are dense coefficient grids poly[i, j] ~ omega^i B^j, capped at
 degree 32 per variable, which is comfortable for order-15 derivatives.
@@ -195,7 +197,15 @@ def _poly_mul_linear(p: Array, e0: float, ew: float, eb: float) -> Array:
     return _poly_trim(out)
 
 
-def _poly_diff(p: Array, var: Literal["omega", "barrier"]) -> Array:
+Var = Literal["omega", "barrier", "total"]
+
+
+def _poly_diff(p: Array, var: Var) -> Array:
+    if var == "total":
+        d_w = _poly_diff(p, "omega")
+        if p.shape[1] == 1:  # no B dependence (the free kernel's whole table)
+            return d_w
+        return _poly_add(d_w, _poly_diff(p, "barrier"))
     if var == "omega":
         if p.shape[0] == 1:
             return np.zeros((1, 1))
@@ -227,19 +237,22 @@ def merge_terms(f: TermSum, drop_below: float = 1e-300) -> TermSum:
     return TermSum(tuple(out), f.meta)
 
 
-def _diff_once(f: TermSum, var: Literal["omega", "barrier"]) -> TermSum:
+def _diff_once(f: TermSum, var: Var) -> TermSum:
     out: list[GaussErfTerm] = []
     for term in f.terms:
         q = term.expo
+        # d q / d var as the linear form q0 + q1*w + q2*B
         if var == "omega":
-            q0, q1, q2 = q.cw, 2.0 * q.cww, q.cwb  # d q / d omega as linear form
-        else:
+            q0, q1, q2 = q.cw, 2.0 * q.cww, q.cwb
+        elif var == "barrier":
             q0, q1, q2 = q.cb, q.cwb, 2.0 * q.cbb
+        else:
+            q0, q1, q2 = q.cw + q.cb, 2.0 * q.cww + q.cwb, q.cwb + 2.0 * q.cbb
         main = _poly_add(_poly_diff(term.poly, var), _poly_mul_linear(term.poly, q0, q1, q2))
         out.append(GaussErfTerm(main, q, term.erfc_arg))
         l = term.erfc_arg
         if l is not None:
-            l_slope = l.aw if var == "omega" else l.ab
+            l_slope = {"omega": l.aw, "barrier": l.ab, "total": l.aw + l.ab}[var]
             if l_slope != 0.0:
                 # chain term: -P (2/sqrt(pi)) l' e^{q - l^2}, a pure Gaussian term
                 q_new = QuadExponent(
@@ -258,12 +271,15 @@ def _diff_once(f: TermSum, var: Literal["omega", "barrier"]) -> TermSum:
 
 def differentiate(
     f: TermSum,
-    var: Literal["omega", "barrier"],
+    var: Var,
     order: int,
     *,
     cap: int = DERIVATIVE_CAP,
 ) -> TermSum:
-    """Exact derivative of order ``order`` with respect to omega or the barrier level."""
+    """Exact derivative of order ``order`` with respect to omega, the barrier
+    level, or (``"total"``) along D = d/d omega + d/d B."""
+    if var not in ("omega", "barrier", "total"):
+        raise ValueError(f"unknown derivative variable {var!r}")
     if order < 0:
         raise ValueError(f"derivative order must be non-negative, got {order}")
     if order > cap:
@@ -279,6 +295,8 @@ def evaluate(f: TermSum, omega_n, b_n=0.0):
     Terms with an Erfc factor and positive argument are computed through
     erfcx (scaled complementary error function) so the Gaussian decay of
     Erfc is folded into the exponent instead of underflowing separately.
+    An exponent beyond the float range overflows to inf (with numpy's
+    overflow warning); it is never clamped to a finite value.
     """
     w, b = np.broadcast_arrays(np.asarray(omega_n, dtype=float), np.asarray(b_n, dtype=float))
     total = np.zeros(w.shape)
@@ -286,7 +304,7 @@ def evaluate(f: TermSum, omega_n, b_n=0.0):
         pv = np.polynomial.polynomial.polyval2d(w, b, term.poly)
         q = term.expo.value(w, b)
         if term.erfc_arg is None:
-            total += pv * np.where(q < _EXP_FLOOR, 0.0, np.exp(np.minimum(q, 709.0)))
+            total += pv * np.where(q < _EXP_FLOOR, 0.0, np.exp(q))
         else:
             l = term.erfc_arg.value(w, b)
             with np.errstate(over="ignore", under="ignore"):

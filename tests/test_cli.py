@@ -83,7 +83,7 @@ def test_out_dir_env_var_is_honored(outdir, capsys):
 def test_run_config_defaults_round_trip():
     cfg = RunConfig()
     assert cfg.mc().n_paths == cfg.mc_paths
-    assert cfg.scheme == "st" and cfg.order8_minus is False
+    assert cfg.scheme == "st"
 
 
 # ---------------------------------- drift ---------------------------------- #
@@ -106,6 +106,18 @@ def test_drift_routes_agree_with_skew(outdir, capsys):
     assert rc == 0
     vals = [float(l.split()[-1]) for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert vals[0] == pytest.approx(vals[1], abs=1e-8)
+
+
+# a skew so large that the martingale condition has no root near the
+# Gaussian drift: the solve fails and the command exits 2, not a traceback
+NO_DRIFT_ROOT = ["--sigma", "0.2", "--t", "0.01", "--kappa3", "10", "--r-acc", "0"]
+
+
+def test_drift_without_root_exits_2(outdir, capsys):
+    rc = main(["drift", *NO_DRIFT_ROOT])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no sign change" in err
 
 
 # --------------------------------- density --------------------------------- #
@@ -175,6 +187,13 @@ def test_price_moving_barrier_below_fixed(outdir, capsys):
 def test_price_rejects_bad_kind(outdir, capsys):
     with pytest.raises(SystemExit):  # argparse rejects the choice
         main(["price", "--kind", "lookback", "--sigma", "0.2", "--K", "1"])
+
+
+def test_price_without_drift_root_exits_2(outdir, capsys):
+    rc = main(["price", "--kind", "vanilla-call", "--K", "1.0", *NO_DRIFT_ROOT])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no sign change" in err
 
 
 # -------------------------------- calibrate -------------------------------- #

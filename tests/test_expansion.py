@@ -4,9 +4,10 @@ Three independent routes pin the expansion down:
 
 * the coefficient table is exact rational arithmetic with hand-checkable
   integer identities at orders 6..9;
-* the term-sum derivative engine must reproduce the same density as a
-  probabilists'-Hermite construction of the Gaussian derivatives
-  (numpy.polynomial.hermite_e knows nothing about our term algebra);
+* the term-sum derivative engine must reproduce the same density, with and
+  without a barrier, as a probabilists'-Hermite construction of the
+  Gaussian derivatives (numpy.polynomial.hermite_e knows nothing about our
+  term algebra);
 * the terminal moments of the density must equal the prescribed cumulants
   exactly — the expansion is built so its characteristic function matches
   through the truncation order, so this holds to machine precision.
@@ -69,14 +70,6 @@ def test_low_orders_have_single_entries():
         assert coefficient_terms(n) == {(n,): Fraction(1, math.factorial(n))}
 
 
-def test_order8_sign_switch_flips_only_cross_term():
-    plus = coefficient_terms(8)
-    minus = coefficient_terms(8, order8_minus=True)
-    assert minus[(3, 5)] == -plus[(3, 5)]
-    assert minus[(4, 4)] == plus[(4, 4)]
-    assert minus[(8,)] == plus[(8,)]
-
-
 def test_expansion_coefficients_numeric_assembly():
     c = CumulantSet(0.2, 1.0, (0.06, -0.02, 0.01))
     coeffs = expansion_coefficients(c)
@@ -115,6 +108,11 @@ def test_from_map_and_accessors():
 
 # ----------------------------- vanilla density ----------------------------- #
 
+def _he(n: int, z):
+    """Probabilists' Hermite polynomial He_n at z."""
+    return hermite_e.hermeval(z, np.eye(n + 1)[n])
+
+
 def test_gaussian_limit_is_plain_normal():
     c = CumulantSet(0.2, 1.5, (), alpha=0.3)
     w = np.linspace(-5.0, 5.0, 101)
@@ -136,9 +134,7 @@ def test_vanilla_density_matches_hermite_construction():
     z = (w - c.alpha * t) / math.sqrt(t)
     herm = np.ones_like(w)  # a_0 = 1 carries the uncorrected Gaussian
     for n in range(3, c.order + 1):
-        basis = np.zeros(n + 1)
-        basis[n] = 1.0
-        herm += coeffs.a(n) * t ** (-0.5 * n) * hermite_e.hermeval(z, basis)
+        herm += coeffs.a(n) * t ** (-0.5 * n) * _he(n, z)
     expected = norm.pdf(w, loc=c.alpha * t, scale=math.sqrt(t)) * herm
     np.testing.assert_allclose(density_vanilla(c, w), expected, rtol=0, atol=1e-13)
 
@@ -219,6 +215,66 @@ def test_distant_barrier_recovers_vanilla_density():
         rtol=0,
         atol=1e-14,
     )
+
+
+def _hermite_barrier_density(c: CumulantSet, b: float, q1: float, q2: float, w):
+    """Expansion density on Pi0 = G(w) - Q(b - w) e^{2 alpha b} G(w - 2b),
+    Q(x) = 1 + q1 x + q2 x^2 and G the drifted Gaussian N(alpha t, t),
+    built from Hermite polynomials.
+
+    With D = d/dw + d/db and z = (x - alpha t)/sqrt(t):
+    D^n G(w) = (-1)^n t^{-n/2} He_n(z) G(w); D kills b - w, so Q passes
+    through, and D^n [e^{2 alpha b} G(w - 2b)]
+    = e^{2 alpha b} sum_k C(n, k) (2 alpha)^{n-k} t^{-k/2} He_k(z) G(w - 2b).
+    """
+    alpha, t = c.alpha, c.t_n
+    coeffs = expansion_coefficients(c)
+    g_free = norm.pdf(w, loc=alpha * t, scale=math.sqrt(t))
+    g_image = norm.pdf(w - 2.0 * b, loc=alpha * t, scale=math.sqrt(t))
+    z_free = (w - alpha * t) / math.sqrt(t)
+    z_image = (w - 2.0 * b - alpha * t) / math.sqrt(t)
+    free = np.ones_like(w)
+    image = np.ones_like(w)
+    for n in range(3, coeffs.order + 1):
+        a_n = coeffs.a(n)
+        free += a_n * t ** (-0.5 * n) * _he(n, z_free)
+        image += (-1.0) ** n * a_n * sum(
+            math.comb(n, k) * (2.0 * alpha) ** (n - k) * t ** (-0.5 * k) * _he(k, z_image)
+            for k in range(n + 1)
+        )
+    q = 1.0 + q1 * (b - w) + q2 * (b - w) ** 2
+    return g_free * free - q * math.exp(2.0 * alpha * b) * g_image * image
+
+
+@pytest.mark.parametrize("b_n", [1.2, 2.2, 2.6])
+@pytest.mark.parametrize("order", [8, 14, 15])
+def test_barrier_density_matches_hermite_construction(order, b_n):
+    # high orders near high barriers: there a binomial sum of mixed partials
+    # cancels to ~1e-8 of the peak at order 15, while D^n holds 1e-13
+    t, alpha = 0.5, 0.1
+    g = (0.2, -0.04, 0.3, 0.1, -0.05, 0.02)
+    kappas = tuple(g_n * t ** (0.5 * n) for n, g_n in enumerate(g, start=3))
+    c = CumulantSet(0.2, t, kappas, alpha=alpha, max_order=order)
+    xi, curv = 0.3, -0.4
+    s_lin = -t * xi  # ST series sum_p (-t)^p B^(p) / p!
+    s_poly = -t * xi + 0.5 * t * t * curv
+
+    def st_q(s):
+        return -2.0 * s / t, 2.0 * (s / t) ** 2
+
+    cases = [  # (path, scheme, (q1, q2))
+        (BarrierPath.constant(b_n), MovingBarrierScheme.ST, (0.0, 0.0)),
+        (BarrierPath.linear(b_n, xi), MovingBarrierScheme.ST, st_q(s_lin)),
+        (BarrierPath.polynomial(b_n, (xi, curv)), MovingBarrierScheme.ST, st_q(s_poly)),
+        (BarrierPath.linear(b_n, xi), MovingBarrierScheme.ADIABATIC, (2.0 * xi, 2.0 * xi * xi)),
+    ]
+    w = np.linspace(-4.0, b_n, 401)
+    for path, scheme, (q1, q2) in cases:
+        expected = _hermite_barrier_density(c, b_n, q1, q2, w)
+        got = evaluate(barrier_terms(c, path, scheme), w)
+        peak = np.max(np.abs(expected))
+        err = np.max(np.abs(got - expected)) / peak
+        assert err <= 1e-12, (path, scheme, err)
 
 
 def test_barrier_density_absorbs_mass():

@@ -38,7 +38,6 @@ def test_linear_path_level_and_series():
     assert path.level(1.0, t_n=1.0) == pytest.approx(1.0)
     # S = -t * B' for a linear path
     assert path.series_factor(1.0) == pytest.approx(-0.3)
-    assert path.series_factor(1.0, plus_series=True) == pytest.approx(0.3)
 
 
 def test_polynomial_path_matches_taylor_sum():
@@ -154,19 +153,12 @@ def test_moving_density_nonnegative_for_gentle_slopes(xi):
     assert np.all(vals >= -1e-3)  # perturbative: tiny undershoot allowed
 
 
-# --------------------------- compatibility switch -------------------------- #
-
-def test_plus_series_switch_flips_first_correction():
+def test_st_term_sum_is_base_plus_both_corrections():
     path = BarrierPath.linear(b_n=1.0, xi=0.2)
-    f_minus = pi_mb_terms(P, path, MovingBarrierScheme.ST)
-    f_plus = pi_mb_terms(P, path, MovingBarrierScheme.ST, plus_series=True)
-    v_minus = evaluate(f_minus, W_GRID, b_n=1.0)
-    v_plus = evaluate(f_plus, W_GRID, b_n=1.0)
+    values = evaluate(pi_mb_terms(P, path, MovingBarrierScheme.ST), W_GRID, b_n=1.0)
     base = barrier_density_gm(
         GaussKernelParams(P.omega0, P.alpha, P.t, omega_c=1.0), W_GRID
     )
     first = pi1_st(P, path, W_GRID)
     second = pi2_st(P, path, W_GRID)
-    np.testing.assert_allclose(v_minus, base + first + second, rtol=0, atol=1e-13)
-    # flipping the series sign flips the odd correction, keeps the even one
-    np.testing.assert_allclose(v_plus, base - first + second, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(values, base + first + second, rtol=0, atol=1e-13)

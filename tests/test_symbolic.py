@@ -1,5 +1,6 @@
 """Term-algebra engine: exact differentiation in the terminal and barrier
-variables, merging, stable evaluation, payoff integration, serialization.
+variables and along their sum D, merging, stable evaluation, payoff
+integration, serialization.
 
 Derivative checks run two routes — the symbolic engine against Richardson
 finite differences of the plain kernel formula — and must agree point by
@@ -17,9 +18,18 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nongauss.kernels import GaussKernelParams, barrier_density_gm, free_density
-from nongauss.moving_barrier import free_kernel_terms, gm_terms
+from nongauss.moving_barrier import (
+    BarrierPath,
+    MovingBarrierScheme,
+    free_kernel_terms,
+    gm_terms,
+    pi_mb_terms,
+)
 from nongauss.symbolic import (
     DERIVATIVE_CAP,
+    GaussErfTerm,
+    QuadExponent,
+    TermMeta,
     TermSum,
     differentiate,
     dump_term_sum,
@@ -103,6 +113,33 @@ def test_mixed_partials_commute():
     )
 
 
+def _adiabatic_curved_terms():
+    # the B'' correction carries the Erfc term
+    p = GaussKernelParams(0.0, 0.2, 1.0)
+    path = BarrierPath.polynomial(1.0, (0.2, -0.5))
+    f = pi_mb_terms(p, path, MovingBarrierScheme.ADIABATIC)
+    assert any(t.erfc_arg is not None for t in f.terms)
+    return f
+
+
+@pytest.mark.parametrize("build", [lambda: gm_terms(P_REF), _adiabatic_curved_terms])
+def test_total_derivative_is_binomial_sum_of_partials(build):
+    # D = d/dw + d/dB, and the partials commute, so
+    # D^n f = sum_j C(n, j) d_w^{n-j} d_B^j f.  The reference sum cancels,
+    # so its round-off scales with the size of its terms, not of the result.
+    f = build()
+    w = np.linspace(-3.0, 0.95, 41)
+    for n in range(7):
+        parts = [
+            math.comb(n, j)
+            * evaluate(differentiate(differentiate(f, "barrier", j), "omega", n - j), w, b_n=1.0)
+            for j in range(n + 1)
+        ]
+        got = evaluate(differentiate(f, "total", n), w, b_n=1.0)
+        scale = np.max(np.sum(np.abs(parts), axis=0))
+        np.testing.assert_allclose(got, np.sum(parts, axis=0), rtol=0, atol=1e-13 * scale)
+
+
 def test_derivative_cap_enforced():
     f = gm_terms(P_REF)
     differentiate(f, "omega", DERIVATIVE_CAP)  # at the cap: fine
@@ -110,6 +147,8 @@ def test_derivative_cap_enforced():
         differentiate(f, "omega", DERIVATIVE_CAP + 1)
     with pytest.raises(ValueError):
         differentiate(f, "omega", -1)
+    with pytest.raises(ValueError):
+        differentiate(f, "B", 1)
 
 
 def test_high_order_derivative_stays_finite():
@@ -164,6 +203,15 @@ def test_far_tail_evaluation_is_stable():
 def test_evaluation_always_finite(w):
     f = differentiate(gm_terms(P_REF), "barrier", 2)
     assert math.isfinite(evaluate(f, w, b_n=1.0))
+
+
+def test_exponent_beyond_float_range_overflows_to_inf():
+    meta = TermMeta(1.0, 0.0, 0.0)
+    edge = TermSum((GaussErfTerm(np.array([[1.0]]), QuadExponent(c0=709.0)),), meta)
+    assert evaluate(edge, 0.0) == pytest.approx(math.exp(709.0), rel=1e-14)
+    over = TermSum((GaussErfTerm(np.array([[1.0]]), QuadExponent(c0=710.0)),), meta)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert evaluate(over, 0.0) == math.inf
 
 
 def test_truncation_window_captures_mass():
