@@ -8,7 +8,8 @@ The package is organized bottom-up:
     (free propagator, absorbed propagator, survival/CDF, hitting density).
 ``symbolic``
     Closed term algebra poly * exp(quadratic) * Erfc(linear) with exact
-    differentiation in the terminal coordinate and in the barrier level.
+    differentiation in the terminal coordinate and in the barrier level,
+    and the one fixed Gauss-Legendre rule for its finite integrals.
 ``moving_barrier``
     Perturbative absorbed densities for deterministically moving barriers
     (short-time and adiabatic resummations of the barrier-motion series).
@@ -110,7 +111,7 @@ from .symbolic import (
     TermSum,
     differentiate,
     evaluate,
-    integrate_payoff,
+    integrate_density,
     integrate_payoff_with_stats,
     merge_terms,
     truncation_window,
@@ -162,7 +163,7 @@ __all__ = [
     "gm_terms",
     "hit_density_coeff",
     "implied_vol",
-    "integrate_payoff",
+    "integrate_density",
     "integrate_payoff_with_stats",
     "mc_kuo_price",
     "mc_terminal_sample",

@@ -33,8 +33,8 @@ from scipy.special import ndtr, ndtri
 
 from .expansion import CumulantSet, density_vanilla, vanilla_terms
 from .martingale import RateSpec, drift_from_series, solve_drift
-from .pricing import negative_mass
-from .symbolic import evaluate, truncation_window
+from .pricing import OptionSpec, bs_call, negative_mass, price_vanilla
+from .symbolic import integrate_payoff_with_stats
 
 Array = np.ndarray
 
@@ -46,7 +46,6 @@ __all__ = [
     "SmileQuote",
     "SmileSurface",
     "bl_density",
-    "bs_call",
     "build_surface",
     "delta_to_strike",
     "fit_parameters",
@@ -212,15 +211,6 @@ def delta_to_strike(q: SmileQuote, forward: float, t_n: float) -> float:
     + sigma^2 T / 2); strictly decreasing in delta."""
     srt = q.vol * math.sqrt(t_n)
     return forward * math.exp(-srt * ndtri(q.delta) + 0.5 * srt * srt)
-
-
-def bs_call(s0: float, strike: float, vol: float, t_n: float, r_acc: float, df: float) -> float:
-    fwd = s0 * math.exp(r_acc)
-    if strike == 0.0:
-        return df * fwd
-    srt = vol * math.sqrt(t_n)
-    d1 = (math.log(fwd / strike) + 0.5 * srt * srt) / srt
-    return df * (fwd * ndtr(d1) - strike * ndtr(d1 - srt))
 
 
 def implied_vol(price: float, s0: float, strike: float, t_n: float, r_acc: float, df: float) -> float:
@@ -424,19 +414,15 @@ def fit_parameters(
     t_n = sl.t_n
     counter = {"n": 0}
     k_quoted, _ = _smile_vol_curve(sl)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(160)
     log_k = np.log(k_quoted / sl.s0)
 
     def quote_vols(c: CumulantSet) -> Array | None:
-        # model call prices at the quoted strikes (fixed-order quadrature on
-        # the vanilla term sum), then BS-inverted at each quote
-        f = vanilla_terms(c)
-        lo, hi = truncation_window(f, sigma_shift=c.sigma)
-        a = np.maximum(log_k / c.sigma, lo)
-        om = 0.5 * (hi - a)[:, None] * gl_x[None, :] + 0.5 * (hi + a)[:, None]
-        vals = evaluate(f, om.ravel()).reshape(om.shape)
-        payoff = sl.s0 * np.exp(c.sigma * om) - k_quoted[:, None]
-        prices = sl.df * 0.5 * (hi - a) * np.sum(gl_w[None, :] * payoff * vals, axis=1)
+        # model call prices at the quoted strikes (one payoff-integral call
+        # over the strike ladder), then BS-inverted at each quote
+        values, _ = integrate_payoff_with_stats(
+            vanilla_terms(c), log_k / c.sigma, math.inf, c.sigma, sl.s0, k_quoted
+        )
+        prices = sl.df * values
         try:
             return np.array(
                 [
@@ -531,21 +517,16 @@ def fit_parameters(
 
     q_model = model_density(best_x)
     rmse = float(np.sqrt(np.mean((q_model - target) ** 2)))
-    neg = negative_mass(vanilla_terms(c_fit))
+    f_fit = vanilla_terms(c_fit)
+    neg = negative_mass(f_fit)
+    k_reg = grid[:: max(1, len(grid) // 60)]
     market_prices = np.array(
-        [bs_call(sl.s0, k, float(v), sl.t_n, sl.r_acc, sl.df) for k, v in zip(grid, _grid_vols(sl, grid))]
+        [bs_call(sl.s0, k, float(v), t_n, sl.r_acc, sl.df) for k, v in zip(k_reg, _grid_vols(sl, k_reg))]
     )
-    from .pricing import OptionSpec, price_vanilla  # local import avoids a cycle
-
-    model_prices = np.array(
-        [
-            price_vanilla(
-                OptionSpec("vanilla_call", sl.s0, float(k), t_n, rates, sl.df), c_fit
-            ).price
-            for k in grid[:: max(1, len(grid) // 60)]
-        ]
+    model_values, _ = integrate_payoff_with_stats(
+        f_fit, np.log(k_reg / sl.s0) / sigma_fit, math.inf, sigma_fit, sl.s0, k_reg
     )
-    reg = regression_diagnostics(model_prices, market_prices[:: max(1, len(grid) // 60)])
+    reg = regression_diagnostics(sl.df * model_values, market_prices)
     report = CalibrationReport(
         date=sl.date,
         maturity_months=sl.maturity_months,
@@ -592,8 +573,6 @@ def synthetic_slice(
     df = math.exp(-r_acc)
     fwd = s0 * math.exp(r_acc)
     rates = RateSpec(r_acc, t_n, c.sigma)
-    from .pricing import OptionSpec, price_vanilla  # local import avoids a cycle
-
     quotes = []
     for delta in DELTA_GRID:
         vol = c.sigma

@@ -51,6 +51,7 @@ from .moving_barrier import BarrierPath, MovingBarrierScheme
 from .oracle import McConfig, mc_kuo_price
 from .pricing import (
     OptionSpec,
+    _fmt,
     barrier_grid_experiment,
     bs_kuo_closed_form,
     price_kuo_call,
@@ -62,10 +63,6 @@ from .symbolic import evaluate, term_sum_to_jsonable, truncation_window
 __all__ = ["RunConfig", "build_parser", "main"]
 
 SCHEMA_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _round12(obj):
@@ -101,7 +98,6 @@ class RunConfig:
     s0: float = 1.0
     max_order: int = 7
     scheme: str = "st"
-    quad_tol: float | None = None
     mc_paths: int = 200_000
     mc_steps: int = 64
     mc_seed: int = 0
@@ -232,11 +228,11 @@ def cmd_price(ns: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValueError(f"{ns.kind} requires --B")
     spec = OptionSpec(kind, cfg.s0, ns.strike, ns.t, rates, df, barrier)
     if kind == "vanilla_call":
-        res = price_vanilla(spec, c, tol=cfg.quad_tol)
+        res = price_vanilla(spec, c)
     elif kind == "kuo_call":
-        res = price_kuo_call(spec, c, _scheme(cfg), tol=cfg.quad_tol)
+        res = price_kuo_call(spec, c, _scheme(cfg))
     else:
-        res = price_kuo_put(spec, c, _scheme(cfg), tol=cfg.quad_tol)
+        res = price_kuo_put(spec, c, _scheme(cfg))
     payload = _round12(
         {
             "schema_version": SCHEMA_VERSION,
@@ -486,7 +482,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s0", type=float, help="spot level (default 1.0)")
     p.add_argument("--scheme", choices=["st", "adiabatic"], help="moving-barrier scheme")
     p.add_argument("--max-order", dest="max_order", type=int, help="highest cumulant order")
-    p.add_argument("--quad-tol", dest="quad_tol", type=float, help="payoff quadrature tolerance")
     p.add_argument("--jobs", type=int, help="parallel calibration workers")
     p.add_argument("--mc-paths", dest="mc_paths", type=int)
     p.add_argument("--mc-steps", dest="mc_steps", type=int)

@@ -13,6 +13,8 @@ with k = ln(K/s0)/sigma, b the barrier level at maturity and kb = min(k, b).
 KUO = knock-up-and-out: the payoff survives only if the path stays below the
 barrier.  Pi is the (possibly negative in the tails) cumulant-expansion
 density; the negative mass is reported as a diagnostic, never clipped.
+Every integral is the fixed Gauss-Legendre rule of ``symbolic`` on the
+density's truncation window.
 
 Black-Scholes references (vanilla and the reflection-principle KUO closed
 form) are included for the Gaussian-limit checks and for the comparison
@@ -29,19 +31,25 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .expansion import CumulantSet, barrier_terms, vanilla_terms
 from .martingale import RateSpec, gaussian_drift
 from .moving_barrier import BarrierPath, MovingBarrierScheme
-from .symbolic import TermSum, evaluate, integrate_payoff_with_stats, truncation_window
+from .symbolic import (
+    TermSum,
+    evaluate,
+    integrate_density,
+    integrate_payoff_with_stats,
+    truncation_window,
+)
 
 __all__ = [
     "ExperimentSlice",
     "OptionSpec",
     "PricingResult",
     "barrier_grid_experiment",
+    "bs_call",
     "bs_kuo_closed_form",
     "bs_vanilla",
     "negative_mass",
@@ -96,17 +104,32 @@ def _params_hash(spec: OptionSpec, c: CumulantSet, scheme=None) -> str:
     return hashlib.md5(text.encode()).hexdigest()[:12]
 
 
+NEGATIVE_MASS_GRID = 2001
+
+
 def negative_mass(f: TermSum, upper: float | None = None) -> float:
-    """Integral of the density's negative part (a truncation-health metric)."""
+    """Integral of the density's negative part (a truncation-health metric).
+
+    The sign changes of f are found on a fixed grid of NEGATIVE_MASS_GRID
+    points over the truncation window, capped at ``upper``, and each root is
+    placed by linear interpolation; f is then integrated over the negative
+    sub-intervals by the fixed Gauss-Legendre rule.  Negative lobes narrower
+    than about two grid steps fall between the grid points and are not seen.
+    """
     lo, hi = truncation_window(f)
     if upper is not None:
         hi = min(hi, upper)
     if hi <= lo:
         return 0.0
-    val, _ = quad(
-        lambda w: max(0.0, -evaluate(f, w)), lo, hi, limit=200, epsabs=1e-12, epsrel=1e-8
-    )
-    return val
+    w = np.linspace(lo, hi, NEGATIVE_MASS_GRID)
+    v = evaluate(f, w)
+    neg = v < 0.0
+    if not np.any(neg):
+        return 0.0
+    i = np.flatnonzero(neg[1:] != neg[:-1])
+    roots = w[i] + (w[i + 1] - w[i]) * v[i] / (v[i] - v[i + 1])
+    edges = np.concatenate(([lo] if neg[0] else [], roots, [hi] if neg[-1] else []))
+    return -float(np.sum(integrate_density(f, edges[0::2], edges[1::2])))
 
 
 def _check_drift(c: CumulantSet) -> None:
@@ -116,69 +139,61 @@ def _check_drift(c: CumulantSet) -> None:
 
 # ------------------------------- model prices ------------------------------ #
 
-def price_vanilla(spec: OptionSpec, c: CumulantSet, tol: float | None = None) -> PricingResult:
+def _priced(
+    spec: OptionSpec, c: CumulantSet, f: TermSum, lower: float, upper: float,
+    scheme: MovingBarrierScheme | None = None, sign: float = 1.0,
+) -> PricingResult:
+    """sign * df * payoff integral of f over [lower, upper], with the
+    negative mass of f (below the barrier of a KUO) as the diagnostic."""
+    value, _ = integrate_payoff_with_stats(
+        f, lower, upper, spec.rates.sigma, spec.s0, spec.strike
+    )
+    cap = spec.barrier.b_n if spec.kind.startswith("kuo") else None
+    diagnostics = {"negative_mass": negative_mass(f, upper=cap)}
+    return PricingResult(sign * spec.df * value, diagnostics, _params_hash(spec, c, scheme))
+
+
+def price_vanilla(spec: OptionSpec, c: CumulantSet) -> PricingResult:
     """European call on the no-barrier expansion density."""
     _check_drift(c)
-    f = vanilla_terms(c)
-    value, stats = integrate_payoff_with_stats(
-        f, spec.log_strike(), math.inf, spec.rates.sigma, spec.s0, spec.strike, tol=tol
-    )
-    diagnostics = {
-        "negative_mass": negative_mass(f),
-        "truncation_error": spec.df * stats["abs_error"],
-        "n_quad_evals": stats["n_evals"],
-    }
-    return PricingResult(spec.df * value, diagnostics, _params_hash(spec, c))
+    return _priced(spec, c, vanilla_terms(c), spec.log_strike(), math.inf)
 
 
 def price_kuo_call(
-    spec: OptionSpec,
-    c: CumulantSet,
-    scheme: MovingBarrierScheme = MovingBarrierScheme.ST,
-    tol: float | None = None,
+    spec: OptionSpec, c: CumulantSet, scheme: MovingBarrierScheme = MovingBarrierScheme.ST
 ) -> PricingResult:
     """Knock-up-and-out call: integrate (S - K)+ against the absorbed density
     between the log-strike and the barrier level; zero when k >= b."""
     _check_drift(c)
     k, b = spec.log_strike(), spec.barrier.b_n
     if k >= b:
-        return PricingResult(0.0, {"negative_mass": 0.0, "truncation_error": 0.0, "n_quad_evals": 0}, _params_hash(spec, c, scheme))
-    f = barrier_terms(c, spec.barrier, scheme)
-    value, stats = integrate_payoff_with_stats(
-        f, k, b, spec.rates.sigma, spec.s0, spec.strike, tol=tol
-    )
-    diagnostics = {
-        "negative_mass": negative_mass(f, upper=b),
-        "truncation_error": spec.df * stats["abs_error"],
-        "n_quad_evals": stats["n_evals"],
-    }
-    return PricingResult(spec.df * value, diagnostics, _params_hash(spec, c, scheme))
+        return PricingResult(0.0, {"negative_mass": 0.0}, _params_hash(spec, c, scheme))
+    return _priced(spec, c, barrier_terms(c, spec.barrier, scheme), k, b, scheme)
 
 
 def price_kuo_put(
-    spec: OptionSpec,
-    c: CumulantSet,
-    scheme: MovingBarrierScheme = MovingBarrierScheme.ST,
-    tol: float | None = None,
+    spec: OptionSpec, c: CumulantSet, scheme: MovingBarrierScheme = MovingBarrierScheme.ST
 ) -> PricingResult:
     """Knock-up-and-out put: lower-tail integral of (K - S)+ up to min(k, b)."""
     _check_drift(c)
     if spec.strike == 0.0:
-        return PricingResult(0.0, {"negative_mass": 0.0, "truncation_error": 0.0, "n_quad_evals": 0}, _params_hash(spec, c, scheme))
-    k, b = spec.log_strike(), spec.barrier.b_n
+        return PricingResult(0.0, {"negative_mass": 0.0}, _params_hash(spec, c, scheme))
+    kb = min(spec.log_strike(), spec.barrier.b_n)
     f = barrier_terms(c, spec.barrier, scheme)
-    value, stats = integrate_payoff_with_stats(
-        f, -math.inf, min(k, b), spec.rates.sigma, spec.s0, spec.strike, tol=tol
-    )
-    diagnostics = {
-        "negative_mass": negative_mass(f, upper=b),
-        "truncation_error": spec.df * stats["abs_error"],
-        "n_quad_evals": stats["n_evals"],
-    }
-    return PricingResult(-spec.df * value, diagnostics, _params_hash(spec, c, scheme))
+    return _priced(spec, c, f, -math.inf, kb, scheme, sign=-1.0)
 
 
 # --------------------------- Black-Scholes limits -------------------------- #
+
+def bs_call(s0: float, strike: float, vol: float, t_n: float, r_acc: float, df: float) -> float:
+    """Black-Scholes call on the forward s0 e^{r_acc}, discounted by df."""
+    fwd = s0 * math.exp(r_acc)
+    if strike == 0.0:
+        return df * fwd
+    srt = vol * math.sqrt(t_n)
+    d1 = (math.log(fwd / strike) + 0.5 * srt * srt) / srt
+    return df * (fwd * ndtr(d1) - strike * ndtr(d1 - srt))
+
 
 def bs_vanilla(spec: OptionSpec) -> float:
     """Black-Scholes price of spec's payoff ignoring any barrier.
@@ -186,15 +201,15 @@ def bs_vanilla(spec: OptionSpec) -> float:
     Call for the call kinds, put for kuo_put.
     """
     r = spec.rates
+    if spec.kind != "kuo_put":
+        return bs_call(spec.s0, spec.strike, r.sigma, r.t_n, r.r_acc, spec.df)
+    if spec.strike == 0.0:
+        return 0.0
     fwd = spec.s0 * math.exp(r.r_acc)
     srt = r.sigma * math.sqrt(r.t_n)
-    if spec.strike == 0.0:
-        return spec.df * fwd if spec.kind != "kuo_put" else 0.0
     d1 = (math.log(fwd / spec.strike) + 0.5 * srt * srt) / srt
     d2 = d1 - srt
-    if spec.kind == "kuo_put":
-        return spec.df * (spec.strike * ndtr(-d2) - fwd * ndtr(-d1))
-    return spec.df * (fwd * ndtr(d1) - spec.strike * ndtr(d2))
+    return spec.df * (spec.strike * ndtr(-d2) - fwd * ndtr(-d1))
 
 
 def _gauss_exp_window(m: float, csig: float, t: float, x1: float, x2: float) -> float:
@@ -317,6 +332,8 @@ def barrier_grid_experiment(
 
 
 def _fmt(x) -> str:
+    """12 significant digits, the precision of every number the program
+    writes; strings (the "NA" gap markers) pass through."""
     return x if isinstance(x, str) else f"{x:.12g}"
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc, erfcx
 
 Array = np.ndarray
@@ -43,7 +42,7 @@ __all__ = [
     "TermSum",
     "differentiate",
     "evaluate",
-    "integrate_payoff",
+    "integrate_density",
     "integrate_payoff_with_stats",
     "integrate_exp_poly",
     "substitute_barrier",
@@ -88,9 +87,6 @@ class QuadExponent:
             + self.cwb * w * b
             + self.cbb * b * b
         )
-
-    def shifted(self, *, dc0: float = 0.0, dcw: float = 0.0) -> "QuadExponent":
-        return QuadExponent(self.c0 + dc0, self.cw + dcw, self.cb, self.cww, self.cwb, self.cbb)
 
 
 @dataclass(frozen=True)
@@ -354,12 +350,7 @@ def _term_decays(term: GaussErfTerm, direction: float, sigma_shift: float) -> bo
 
 def truncation_window(f: TermSum, sigma_shift: float = 0.0) -> tuple[float, float]:
     """Interval outside which every term of f (times e^{sigma_shift w}) is
-    negligible; used to truncate infinite quadrature domains."""
-    return _truncation_window(f, sigma_shift)
-
-
-def _truncation_window(f: TermSum, sigma_shift: float) -> tuple[float, float]:
-    """Interval outside which every term is negligible (14+ Gaussian sigmas)."""
+    negligible (14+ Gaussian sigmas); used to truncate infinite domains."""
     meta = f.meta
     spread = 14.0 * math.sqrt(meta.t)
     center = meta.omega0 + meta.alpha * meta.t
@@ -376,71 +367,58 @@ def _truncation_window(f: TermSum, sigma_shift: float) -> tuple[float, float]:
     return lo, hi
 
 
+# One fixed Gauss-Legendre rule serves every finite integral of a term sum.
+# The integrands are smooth on their intervals (payoff kinks sit at the
+# interval ends), and 160 nodes resolve windows of up to ~40 kernel standard
+# deviations to round-off.
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(160)
+
+
+def integrate_density(f: TermSum, lower, upper, weight=None) -> Array:
+    """Integral of weight(w) * f(w) over each finite [lower_i, upper_i] by the
+    fixed rule, in one ``evaluate`` call; ``weight`` maps the (..., nodes)
+    abscissae to a factor (default 1)."""
+    a, b = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    half = 0.5 * (b - a)
+    om = (0.5 * (b + a))[..., None] + half[..., None] * GL_NODES
+    vals = evaluate(f, om)
+    if weight is not None:
+        vals = weight(om) * vals
+    return half * np.sum(GL_WEIGHTS * vals, axis=-1)
+
+
 def integrate_payoff_with_stats(
-    f: TermSum,
-    lower: float,
-    upper: float,
-    sigma: float,
-    s0: float,
-    strike: float,
-    *,
-    tol: float | None = None,
-) -> tuple[float, dict]:
+    f: TermSum, lower, upper, sigma: float, s0: float, strike
+) -> tuple[float | Array, dict]:
     """Integral of (s0 e^{sigma w} - strike) * f(w) over [lower, upper].
 
-    The e^{sigma w} factor is absorbed into each term's linear exponent
-    coefficient (so the integrand is evaluated as one guarded term sum), and
-    the integral is done by adaptive quadrature on a truncated window.
+    Infinite ends are cut at the truncation window, finite ones clipped to
+    it, and the integral is the fixed Gauss-Legendre rule.  ``lower``,
+    ``upper`` and ``strike`` broadcast, so a strike ladder is one call.
     ``f`` must already have its barrier variable bound.  Returns the value
-    and a stats dict (abs error estimate, function evaluations).
+    (a float for scalar input) and the number of nodes evaluated.
     """
-    if lower > upper:
-        raise ValueError(f"lower {lower} > upper {upper}")
-    if lower == upper:
-        return 0.0, {"abs_error": 0.0, "n_evals": 0}
-    abs_tol = (1e-10 * s0) if tol is None else tol
-
-    if math.isinf(upper):
-        for term in f.terms:
-            if not _term_decays(term, +1.0, sigma):
-                raise IntegrabilityError(
-                    "payoff integral diverges: non-decaying term toward +inf"
-                )
-    if math.isinf(lower):
-        for term in f.terms:
-            if not _term_decays(term, -1.0, 0.0):
-                raise IntegrabilityError(
-                    "payoff integral diverges: non-decaying term toward -inf"
-                )
-
-    shifted = TermSum(
-        tuple(
-            GaussErfTerm(t.poly * s0, t.expo.shifted(dcw=sigma), t.erfc_arg) for t in f.terms
-        ),
-        f.meta,
+    lower, upper, strike = np.broadcast_arrays(
+        np.asarray(lower, dtype=float), np.asarray(upper, dtype=float), np.asarray(strike, dtype=float)
     )
-    lo, hi = _truncation_window(f, sigma)
-    a = lo if math.isinf(lower) else max(lower, lo)
-    b = hi if math.isinf(upper) else min(upper, hi)
-    if a >= b:
-        return 0.0, {"abs_error": 0.0, "n_evals": 0}
+    if np.any(lower > upper):
+        raise ValueError(f"lower {lower} > upper {upper}")
+    for end, direction, shift in ((upper, +1.0, sigma), (lower, -1.0, 0.0)):
+        if np.any(np.isinf(end)) and not all(_term_decays(t, direction, shift) for t in f.terms):
+            side = "+inf" if direction > 0.0 else "-inf"
+            raise IntegrabilityError(f"payoff integral diverges: non-decaying term toward {side}")
 
-    counter = {"n": 0}
-
-    def integrand(w: float) -> float:
-        counter["n"] += 1
-        return evaluate(shifted, w) - strike * evaluate(f, w)
-
-    value, abserr = quad(integrand, a, b, epsabs=abs_tol, epsrel=1e-11, limit=400)
-    return value, {"abs_error": abserr, "n_evals": counter["n"]}
-
-
-def integrate_payoff(
-    f: TermSum, lower: float, upper: float, sigma: float, s0: float, strike: float,
-    *, tol: float | None = None,
-) -> float:
-    value, _ = integrate_payoff_with_stats(f, lower, upper, sigma, s0, strike, tol=tol)
-    return value
+    lo, hi = truncation_window(f, sigma)
+    a, b = np.maximum(lower, lo), np.minimum(upper, hi)
+    live = a < b
+    value = np.zeros(a.shape)
+    if np.any(live):
+        k = strike[live][:, None]
+        value[live] = integrate_density(
+            f, a[live], b[live], lambda om: s0 * np.exp(sigma * om) - k
+        )
+    stats = {"n_evals": int(np.sum(live)) * GL_NODES.size}
+    return (float(value) if value.ndim == 0 else value), stats
 
 
 def integrate_exp_poly(f: TermSum, c: float = 0.0) -> float:

@@ -22,7 +22,6 @@ from nongauss.calibration import (
     RateRow,
     SmileQuote,
     bl_density,
-    bs_call,
     build_surface,
     delta_to_strike,
     fit_parameters,
@@ -34,6 +33,7 @@ from nongauss.calibration import (
 )
 from nongauss.expansion import CumulantSet
 from nongauss.martingale import RateSpec, solve_drift
+from nongauss.pricing import bs_call
 
 S0 = 100.0
 R_ACC = 0.03

@@ -74,6 +74,25 @@ def test_unknown_config_key_exits_2(tmp_path, outdir, capsys):
     assert "not_a_knob" in capsys.readouterr().err
 
 
+# the payoff integral is a fixed rule: its former tolerance knob is gone from
+# both the flags and the config file, and naming it fails loudly
+def test_removed_quad_tol_flag_exits_2(outdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--kind", "vanilla-call", "--sigma", "0.2", "--r-acc", "0.05",
+              "--K", "1.0", "--quad-tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--quad-tol" in capsys.readouterr().err
+
+
+def test_removed_quad_tol_config_key_exits_2(tmp_path, outdir, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"quad_tol": 1e-9}))
+    rc = main(["price", "--kind", "vanilla-call", "--sigma", "0.2", "--r-acc", "0.05",
+               "--K", "1.0", "--config", str(cfg_path)])
+    assert rc == 2
+    assert "quad_tol" in capsys.readouterr().err
+
+
 def test_out_dir_env_var_is_honored(outdir, capsys):
     rc = main(["density", "--sigma", "0.2", "--kappa3", "0.05", "--r-acc", "0.05"])
     assert rc == 0

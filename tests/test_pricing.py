@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from nongauss.expansion import CumulantSet
+from nongauss.expansion import CumulantSet, barrier_terms, vanilla_terms
 from nongauss.martingale import RateSpec, solve_drift
 from nongauss.moving_barrier import BarrierPath, MovingBarrierScheme
+from nongauss.symbolic import evaluate, truncation_window
 from nongauss.pricing import (
     EXPERIMENT_CSV_FIELDS,
     ExperimentSlice,
@@ -23,6 +24,7 @@ from nongauss.pricing import (
     barrier_grid_experiment,
     bs_kuo_closed_form,
     bs_vanilla,
+    negative_mass,
     price_kuo_call,
     price_kuo_put,
     price_vanilla,
@@ -147,12 +149,47 @@ def test_scheme_choice_immaterial_for_constant_barrier():
     assert p_st == pytest.approx(p_ad, rel=1e-10)
 
 
-def test_quadrature_tol_threads_through():
-    c = _gauss_set(0.2, 1.0, 0.05)
-    spec = _spec("kuo_call", 100.0, 95.0, 1.0, 0.2, 0.05, 140.0)
-    tight = price_kuo_call(spec, c, tol=1e-12).price
-    loose = price_kuo_call(spec, c, tol=1e-6).price
-    assert loose == pytest.approx(tight, abs=1e-5)
+# ------------------------------ negative mass ------------------------------ #
+
+def _market_shaped_set() -> CumulantSet:
+    # the 6-month market row, kappa_n = kappa_4 (kappa_4 / kappa_3)^(n - 4)
+    # beyond kappa_4: expansion order 15, negative lobe near omega = -3
+    t, sigma, k3, k4 = 0.5, 0.23, 0.065, -0.022
+    kappas = {3: k3, 4: k4, **{n: k4 * (k4 / k3) ** (n - 4) for n in range(5, 9)}}
+    c = CumulantSet.from_map(sigma, t, kappas)
+    assert c.order == 15
+    return c.with_alpha(solve_drift(c, RateSpec(0.015, t, sigma)))
+
+
+def _trapezoid_negative_mass(f, upper):
+    lo, hi = truncation_window(f)
+    w = np.linspace(lo, min(hi, upper), 400_001)
+    return -np.trapezoid(np.minimum(evaluate(f, w), 0.0), w)
+
+
+@pytest.mark.parametrize(
+    "path,scheme,upper",
+    [
+        ("linear", MovingBarrierScheme.ST, None),
+        ("curved", MovingBarrierScheme.ADIABATIC, None),
+        ("linear", MovingBarrierScheme.ST, -2.8),  # the cap cuts the lobe: it ends there
+    ],
+)
+def test_negative_mass_matches_dense_trapezoid(path, scheme, upper):
+    c = _market_shaped_set()
+    b = math.log(1.3 * math.exp(0.015)) / c.sigma  # theta = 1.3 at the forward
+    barrier = BarrierPath.linear(b, 0.3) if path == "linear" else BarrierPath.polynomial(b, (0.3, -0.4))
+    f = barrier_terms(c, barrier, scheme)
+    cap = b if upper is None else upper
+    ref = _trapezoid_negative_mass(f, cap)
+    assert ref > 1e-5
+    assert negative_mass(f, upper=cap) == pytest.approx(ref, rel=1e-6)
+
+
+def test_negative_mass_of_vanilla_density_and_of_lobe_free_one():
+    f = vanilla_terms(_market_shaped_set())
+    assert negative_mass(f) == pytest.approx(_trapezoid_negative_mass(f, math.inf), rel=1e-6)
+    assert negative_mass(vanilla_terms(_gauss_set(0.2, 1.0, 0.05))) == 0.0
 
 
 def test_spec_validation():

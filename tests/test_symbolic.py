@@ -17,7 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from nongauss.expansion import CumulantSet, barrier_terms, vanilla_terms
 from nongauss.kernels import GaussKernelParams, barrier_density_gm, free_density
+from nongauss.martingale import RateSpec, solve_drift
 from nongauss.moving_barrier import (
     BarrierPath,
     MovingBarrierScheme,
@@ -27,6 +29,7 @@ from nongauss.moving_barrier import (
 )
 from nongauss.symbolic import (
     DERIVATIVE_CAP,
+    GL_NODES,
     GaussErfTerm,
     QuadExponent,
     TermMeta,
@@ -34,7 +37,6 @@ from nongauss.symbolic import (
     differentiate,
     dump_term_sum,
     evaluate,
-    integrate_payoff,
     integrate_payoff_with_stats,
     merge_terms,
     substitute_barrier,
@@ -241,26 +243,74 @@ def test_payoff_integral_matches_direct_quadrature():
         epsabs=1e-13,
     )
     assert value == pytest.approx(ref, abs=1e-9)
-    assert stats["n_evals"] > 0 and stats["abs_error"] < 1e-8
+    assert stats["n_evals"] == GL_NODES.size  # one interval, one pass of the rule
 
 
 def test_payoff_integral_empty_interval_is_zero():
     f = substitute_barrier(gm_terms(P_REF), 1.0)
-    assert integrate_payoff(f, 0.5, 0.5, 0.2, 1.0, 1.0) == 0.0
+    assert integrate_payoff_with_stats(f, 0.5, 0.5, 0.2, 1.0, 1.0) == (0.0, {"n_evals": 0})
     with pytest.raises(ValueError):
-        integrate_payoff(f, 1.0, 0.0, 0.2, 1.0, 1.0)
+        integrate_payoff_with_stats(f, 1.0, 0.0, 0.2, 1.0, 1.0)
 
 
-def test_payoff_integral_tol_threads_through():
-    f = substitute_barrier(gm_terms(P_REF), 1.0)
-    loose, stats_loose = integrate_payoff_with_stats(
-        f, -0.5, math.inf, 0.2, 1.0, 0.9, tol=1e-4
+def _market_set(sigma: float, t: float):
+    c = CumulantSet(sigma, t, (0.06 * t**1.5, -0.02 * t * t))
+    return c.with_alpha(solve_drift(c, RateSpec(0.03 * t, t, sigma)))
+
+
+def _payoff_quad(f, lower, upper, sigma, strike):
+    lo, hi = truncation_window(f, sigma)
+    ref, _ = quad(
+        lambda w: (math.exp(sigma * w) - strike) * evaluate(f, w),
+        max(lower, lo), min(upper, hi), epsabs=0.0, epsrel=1e-13, limit=500,
     )
-    tight, stats_tight = integrate_payoff_with_stats(
-        f, -0.5, math.inf, 0.2, 1.0, 0.9, tol=1e-12
-    )
-    assert loose == pytest.approx(tight, abs=1e-4)
-    assert stats_tight["abs_error"] <= stats_loose["abs_error"] + 1e-15
+    return ref
+
+
+# (sigma, t, barrier / S0 or None, kind, strike / S0): the widest intervals of
+# a sigma x t x barrier x strike scan, up to 38 kernel standard deviations
+WIDE_INTERVALS = [
+    (0.1, 1.0, 1.5, "put", 1.2),  # barrier below the strike: up to b
+    (0.1, 1.0, 1.5, "put", 0.9),
+    (0.1, 1.0 / 12.0, 2.0, "call", 0.6),  # strike below the window: 38 sd
+    (0.1, 1.0 / 12.0, None, "call", 0.6),  # the whole vanilla window: 28 sd
+    (0.4, 2.0, None, "call", 1.2),
+]
+
+
+@pytest.mark.parametrize("sigma,t,level,kind,strike", WIDE_INTERVALS)
+def test_fixed_rule_matches_adaptive_quadrature(sigma, t, level, kind, strike):
+    c = _market_set(sigma, t)
+    k = math.log(strike) / sigma
+    if level is None:
+        f, lower, upper = vanilla_terms(c), k, math.inf
+    else:
+        b = math.log(level) / sigma
+        f = barrier_terms(c, BarrierPath.constant(b))
+        lower, upper = (k, b) if kind == "call" else (-math.inf, min(k, b))
+    value, stats = integrate_payoff_with_stats(f, lower, upper, sigma, 1.0, strike)
+    ref = _payoff_quad(f, lower, upper, sigma, strike)
+    assert abs(value - ref) <= 1e-12 * abs(ref) + 1e-15
+    assert stats["n_evals"] == GL_NODES.size
+
+
+def test_fixed_rule_matches_adaptive_quadrature_on_erfc_density():
+    # an adiabatic curved path carries Erfc terms, whose exponent slope is
+    # the drift; the rule needs no closed form for them
+    sigma, t = 0.23, 0.5
+    c = _market_set(sigma, t)
+    b = math.log(1.3) / sigma
+    f = barrier_terms(c, BarrierPath.polynomial(b, (0.3, -0.4)), MovingBarrierScheme.ADIABATIC)
+    assert any(term.erfc_arg is not None for term in f.terms)
+    strikes = np.array([0.8, 1.0, 1.2])
+    calls, _ = integrate_payoff_with_stats(f, np.log(strikes) / sigma, b, sigma, 1.0, strikes)
+    puts, stats = integrate_payoff_with_stats(f, -math.inf, np.log(strikes) / sigma, sigma, 1.0, strikes)
+    assert stats["n_evals"] == strikes.size * GL_NODES.size
+    for i, strike in enumerate(strikes):
+        k = math.log(strike) / sigma
+        for value, (lower, upper) in ((calls[i], (k, b)), (puts[i], (-math.inf, k))):
+            ref = _payoff_quad(f, lower, upper, sigma, strike)
+            assert abs(value - ref) <= 1e-12 * abs(ref) + 1e-15
 
 
 # ------------------------------ serialization ------------------------------ #
