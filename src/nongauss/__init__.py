@@ -17,7 +17,8 @@ The package is organized bottom-up:
     Cumulant-corrected densities: exact rational expansion coefficients up
     to order 15 applied as derivative operators to the Gaussian kernels.
 ``martingale``
-    Risk-neutral drift — root solve, closed form, and series shortcut.
+    Risk-neutral drift — the martingale condition inverted in closed form,
+    with admissibility checks, and an independent order-15 transcription.
 ``pricing``
     Vanilla and knock-up-and-out prices from the term sums, Black-Scholes
     references, and the barrier-grid experiment driver.

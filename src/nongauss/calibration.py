@@ -33,7 +33,7 @@ from scipy.special import ndtr, ndtri
 
 from .expansion import CumulantSet, density_vanilla, vanilla_terms
 from .martingale import RateSpec, drift_from_series, solve_drift
-from .pricing import OptionSpec, bs_call, negative_mass, price_vanilla
+from .pricing import bs_call, negative_mass
 from .symbolic import integrate_payoff_with_stats
 
 Array = np.ndarray
@@ -57,6 +57,14 @@ __all__ = [
 ]
 
 DELTA_GRID = (0.10, 0.25, 0.50, 0.75, 0.90)
+BL_GRID = 241  # strikes of the dense price curve behind bl_density
+
+# fit_parameters: forward selection keeps an order only if it cuts the
+# objective below STAGE_GAMMA times the incumbent; RIDGE penalizes
+# cumulants above order 9; N_RESTARTS jittered polishes of the best start
+STAGE_GAMMA = 0.2
+RIDGE = 1e-4
+N_RESTARTS = 2
 
 SMILE_CSV_FIELDS = ("date", "maturity_months", "delta", "vol")
 RATES_CSV_FIELDS = ("date", "maturity_months", "r_acc", "forward")
@@ -242,12 +250,12 @@ class BlDensity:
     pi_fd: Array
     negative_flags: Array
 
-    def interior(self, margin: float = 0.05) -> Array:
+    def interior(self) -> Array:
         """Mask of points clear of the spline's natural-boundary layer (at
-        least ``margin`` of the strike span from each end)."""
-        span = self.strikes[-1] - self.strikes[0]
-        return (self.strikes >= self.strikes[0] + margin * span) & (
-            self.strikes <= self.strikes[-1] - margin * span
+        least 5% of the strike span from each end)."""
+        margin = 0.05 * (self.strikes[-1] - self.strikes[0])
+        return (self.strikes >= self.strikes[0] + margin) & (
+            self.strikes <= self.strikes[-1] - margin
         )
 
 
@@ -292,17 +300,18 @@ def _dense_strike_density(sl: SmileSlice, vol_at, grid: Array):
     return prices, price_curve, math.exp(sl.r_acc) * price_curve(grid, 2)
 
 
-def bl_density(sl: SmileSlice, k_grid: Array | None = None, n_grid: int = 241) -> BlDensity:
+def bl_density(sl: SmileSlice) -> BlDensity:
     """Second strike derivative of the smile call-price curve.
 
     The five quoted vols are interpolated (quartic in log-moneyness), priced
-    densely, and the dense price curve gets a natural cubic spline in strike;
-    C'' comes from that spline analytically and from a second difference.
+    on BL_GRID strikes spanning the quotes, and the dense price curve gets a
+    natural cubic spline in strike; C'' comes from that spline analytically
+    and from a second difference.
     Non-convex price regions show up as negative density and are flagged,
     not repaired.
     """
     k_quoted, vol_at = _smile_vol_curve(sl)
-    grid = np.linspace(k_quoted[0], k_quoted[-1], n_grid) if k_grid is None else np.asarray(k_grid, dtype=float)
+    grid = np.linspace(k_quoted[0], k_quoted[-1], BL_GRID)
     prices, price_curve, q_spline = _dense_strike_density(sl, vol_at, grid)
     growth = math.exp(sl.r_acc)
     q_fd = np.empty_like(q_spline)
@@ -363,15 +372,7 @@ def _pack(sigma: float, kappas: Array) -> Array:
     return np.concatenate(([sigma], kappas))
 
 
-def fit_parameters(
-    sl: SmileSlice,
-    max_order: int = 7,
-    ridge: float = 1e-4,
-    seed: int = 0,
-    n_restarts: int = 2,
-    stage_gamma: float = 0.2,
-    focus_window: tuple[float, float] | None = None,
-) -> tuple[CumulantSet, CalibrationReport]:
+def fit_parameters(sl: SmileSlice, max_order: int = 7) -> tuple[CumulantSet, CalibrationReport]:
     """Weighted least squares of the expansion density against the
     smile-implied one, in strike space.
 
@@ -387,16 +388,15 @@ def fit_parameters(
     is built up by forward selection: the simplex first fits
     (sigma, kappa_3, kappa_4) — from a coarse deterministic grid of
     standardized skew/kurtosis starts, polishing the three most promising
-    and jittering the winner — then offers one more cumulant order at a
-    time and keeps it only if the objective drops below ``stage_gamma``
-    times the incumbent; otherwise selection stops.  That keeps genuinely
-    needed orders (their absence leaves a residual far above the optimizer
-    floor) while refusing orders that would only soak up noise.
+    and jittering the winner N_RESTARTS times — then offers one more
+    cumulant order at a time and keeps it only if the objective drops below
+    STAGE_GAMMA times the incumbent; otherwise selection stops.  That keeps
+    genuinely needed orders (their absence leaves a residual far above the
+    optimizer floor) while refusing orders that would only soak up noise.
 
-    Weights follow the target density, so the body dominates; a
-    ``focus_window`` (K_lo, K_hi) quadruples the weight inside, for fits
-    meant to feed barrier pricing on that range.  Ridge applies to cumulant
-    orders above 9 only.  Deterministic for fixed (slice, seed).
+    Weights follow the target density, so the body dominates.  The RIDGE
+    penalty applies to cumulant orders above 9 only.  Deterministic for a
+    fixed slice (the jitter generator is seeded with 0).
     """
     if not 7 <= max_order <= 15:
         raise ValueError("max_order must lie in [7, 15]")
@@ -406,9 +406,6 @@ def fit_parameters(
     grid = grid_full[mask]
     target = bl.strike_density[mask]
     weights = np.maximum(target, 0.0)
-    if focus_window is not None:
-        lo, hi = focus_window
-        weights = weights * np.where((grid >= lo) & (grid <= hi), 4.0, 1.0)
     weights = weights / weights.sum()
     n_kappa = max_order - 2
     t_n = sl.t_n
@@ -457,7 +454,7 @@ def fit_parameters(
         if q is None:
             return 1e6 * (1.0 + float(np.sum(x * x)))
         sse = float(np.sum(weights * (q - target) ** 2))
-        penalty = ridge * sum(
+        penalty = RIDGE * sum(
             kap * kap for order, kap in enumerate(x[1:], start=3) if order > 9
         )
         return sse + penalty
@@ -471,7 +468,7 @@ def fit_parameters(
         )
         return np.asarray(res.x), float(res.fun), bool(res.success), str(res.message)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # short maturities put the smile far outside the small-kappa regime and
     # grow spurious local minima; scan a coarse grid of starts in
     # standardized units (kappa_n ~ t^{n/2}) and polish the most promising
@@ -487,7 +484,7 @@ def fit_parameters(
         x_r, f_r, s_r, m_r = polish(x0)
         if f_r < best_f:
             best_x, best_f, success, message = x_r, f_r, s_r, m_r
-    for _ in range(n_restarts):
+    for _ in range(N_RESTARTS):
         jitter = rng.normal(0.0, 1e-3, best_x.shape) * np.maximum(np.abs(best_x), 0.05)
         x_r, f_r, s_r, m_r = polish(best_x + jitter)
         if f_r < best_f:
@@ -500,7 +497,7 @@ def fit_parameters(
         unit = t_n ** (0.5 * order)
         seeds = [np.append(best_x, g * unit) for g in (0.0, -0.5, 0.5)]
         x_r, f_r, s_r, m_r = polish(min(seeds, key=objective))
-        if f_r < stage_gamma * best_f:
+        if f_r < STAGE_GAMMA * best_f:
             best_x, best_f, success, message = x_r, f_r, s_r, m_r
             selected = order
             stage_objs.append(best_f)
@@ -556,14 +553,14 @@ def synthetic_slice(
     r_acc: float,
     date: str = "2024-01-02",
     maturity_months: int = 12,
-    n_iter: int = 40,
 ) -> tuple[list[SmileQuote], RateRow]:
     """Quotes a known parameter set back as a five-delta smile.
 
     For each delta the (strike, vol) pair is self-consistent: the strike
     follows from the vol via the delta convention and the vol is the BS
     implied vol of the model price at that strike — iterated to a fixed
-    point.  Round-tripping these quotes through fit_parameters recovers c.
+    point (at most 40 passes).  Round-tripping these quotes through
+    fit_parameters recovers c.
     """
     if c.alpha is None:
         raise ValueError("attach a martingale drift before quoting")
@@ -572,16 +569,17 @@ def synthetic_slice(
         raise ValueError(f"maturity_months={maturity_months} disagrees with t_n={t_n}")
     df = math.exp(-r_acc)
     fwd = s0 * math.exp(r_acc)
-    rates = RateSpec(r_acc, t_n, c.sigma)
+    f = vanilla_terms(c)
     quotes = []
     for delta in DELTA_GRID:
         vol = c.sigma
-        strike = delta_to_strike(SmileQuote(date, maturity_months, delta, vol), fwd, t_n)
-        for _ in range(n_iter):
+        for _ in range(40):
             strike = delta_to_strike(SmileQuote(date, maturity_months, delta, vol), fwd, t_n)
-            price = price_vanilla(
-                OptionSpec("vanilla_call", s0, strike, t_n, rates, df), c
-            ).price
+            # scalar math.log: numpy's log differs from it in the last bit
+            # on some strikes, and the quotes are meant to be reproducible
+            price = df * integrate_payoff_with_stats(
+                f, math.log(strike / s0) / c.sigma, math.inf, c.sigma, s0, strike
+            )[0]
             vol_new = implied_vol(price, s0, strike, t_n, r_acc, df)
             if abs(vol_new - vol) < 1e-14:
                 vol = vol_new

@@ -121,9 +121,6 @@ class CumulantSet:
     def with_alpha(self, alpha: float) -> "CumulantSet":
         return CumulantSet(self.sigma, self.t_n, self.kappas, float(alpha), self.max_order)
 
-    def kernel_params(self, omega_c: float = math.inf) -> GaussKernelParams:
-        return GaussKernelParams(0.0, self.drift(), self.t_n, omega_c=omega_c)
-
 
 # -------------------------- expansion coefficients ------------------------- #
 
@@ -209,13 +206,12 @@ def _expansion_terms(
     """Pi0 + sum_n (-1)^n a_n D^n Pi0, with B still symbolic."""
     coeffs = expansion_coefficients(c)
     table = _derivative_table(c.drift(), c.t_n, barrier, scheme, coeffs.order)
-    total = table[0]
+    terms = list(table[0].terms)
     for n in range(3, coeffs.order + 1):
         a_n = coeffs.a(n)
-        if a_n == 0.0:
-            continue
-        total = total + table[n].scaled(((-1.0) ** n) * a_n)
-    return merge_terms(total)
+        if a_n != 0.0:
+            terms.extend(table[n].scaled(((-1.0) ** n) * a_n).terms)
+    return merge_terms(TermSum(tuple(terms), table[0].meta))
 
 
 def vanilla_terms(c: CumulantSet) -> TermSum:

@@ -9,10 +9,14 @@ The drift alpha is fixed by the martingale condition on the vanilla
 
 with r_acc the domestic-minus-foreign accrual over the horizon (rate x time,
 dimensionless).  Because every expansion term is a Gaussian times a
-polynomial, the integral is evaluated in closed form and the condition is
-solved by a bracketed root-find.  An independent closed-form transcription of
-the fully expanded order-15 solution (exact integer coefficient table) serves
-as a cross-check; the two routes must agree to solver tolerance.
+polynomial, the moment factorizes as
+
+    e^{sigma alpha t + sigma^2 t / 2} (1 + sum_n a_n sigma^n),
+
+whose logarithm is affine in alpha, so the condition inverts in closed form.
+The independent references are a transcription of the fully expanded
+order-15 solution (exact integer coefficient table) and, in the tests,
+quadrature of the moment integral.
 
 Barrier contracts reuse the same drift: absorption removes mass but does not
 re-define the risk-neutral measure of the underlying.
@@ -22,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .expansion import CumulantSet, expansion_coefficients, vanilla_terms
 from .symbolic import integrate_exp_poly
@@ -41,7 +43,7 @@ _FACT15 = math.factorial(15)  # 1,307,674,368,000
 
 
 class DriftSolveError(RuntimeError):
-    """The martingale condition has no admissible root for the cumulant set."""
+    """The martingale condition has no admissible solution for the cumulant set."""
 
 
 @dataclass(frozen=True)
@@ -76,34 +78,35 @@ def gaussian_drift(rates: RateSpec) -> float:
 
 
 def solve_drift(c: CumulantSet, rates: RateSpec) -> float:
-    """Solve the martingale condition for alpha by bracketed root-finding.
+    """The martingale drift, checked: drift_from_series when it is admissible.
 
-    The moment integral is computed exactly per candidate alpha by absorbing
-    e^{sigma omega} into each Gaussian term of the expansion, so the residual
-    is limited only by float round-off.
+    Raises DriftSolveError when the moment factor 1 + sum_n a_n sigma^n is
+    not positive (the truncated density has no positive exponential
+    moment), when alpha lies more than 5 from the Gaussian drift, or when
+    the exact moment integral at alpha misses the accrual factor by more
+    than 1e-10.
     """
     _check_consistent(c, rates)
-    sigma = rates.sigma
-
-    def residual(alpha: float) -> float:
-        moment = integrate_exp_poly(vanilla_terms(c.with_alpha(alpha)), sigma)
-        if moment <= 0.0:
-            # Far outside the admissible region the truncated density's
-            # moment can go negative; steer the solver back with the sign.
-            return -1e6 * (1.0 + abs(alpha))
-        return math.log(moment) - rates.r_acc
-
+    try:
+        alpha = drift_from_series(c, rates)
+    except ValueError as exc:  # log1p of a moment factor <= 0
+        raise DriftSolveError(
+            "moment factor 1 + sum a_n sigma^n is not positive; no drift makes "
+            "the truncated density a martingale"
+        ) from exc
     a0 = gaussian_drift(rates)
     lo, hi = a0 - 5.0, a0 + 5.0
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo * r_hi > 0.0:
+    if not lo <= alpha <= hi:
+        # the log-moment residual is exactly sigma t (a - alpha)
+        scale = rates.sigma * rates.t_n
         raise DriftSolveError(
             "martingale residual has no sign change on "
-            f"[{lo:.6g}, {hi:.6g}]: f(lo)={r_lo:.6g}, f(hi)={r_hi:.6g}"
+            f"[{lo:.6g}, {hi:.6g}]: f(lo)={scale * (lo - alpha):.6g}, "
+            f"f(hi)={scale * (hi - alpha):.6g}"
         )
-    alpha = float(brentq(residual, lo, hi, xtol=1e-14, rtol=8.9e-16))
     check = abs(
-        math.exp(-rates.r_acc) * integrate_exp_poly(vanilla_terms(c.with_alpha(alpha)), sigma)
+        math.exp(-rates.r_acc)
+        * integrate_exp_poly(vanilla_terms(c.with_alpha(alpha)), rates.sigma)
         - 1.0
     )
     if check > 1e-10:
@@ -112,13 +115,12 @@ def solve_drift(c: CumulantSet, rates: RateSpec) -> float:
 
 
 def drift_from_series(c: CumulantSet, rates: RateSpec) -> float:
-    """Series shortcut for the drift at c's own truncation order.
+    """Closed-form drift at c's own truncation order.
 
     The moment integral factorizes as e^{sigma alpha t + sigma^2 t/2}
-    (1 + sum_n a_n sigma^n), so the martingale condition inverts in closed
-    form.  Agrees with solve_drift to round-off; used inside calibration
-    loops where the root-find per iteration would dominate the cost.  The
-    root-find remains the contractual reference implementation.
+    (1 + sum_n a_n sigma^n), so the martingale condition inverts exactly.
+    Unchecked (math.log1p raises ValueError when the factor is not
+    positive); solve_drift wraps it with the admissibility checks.
     """
     _check_consistent(c, rates)
     coeffs = expansion_coefficients(c)

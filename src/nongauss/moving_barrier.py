@@ -116,9 +116,10 @@ class BarrierPath:
     def deriv(self, p: int) -> float:
         return self.derivs[p - 1] if p <= len(self.derivs) else 0.0
 
-    def validate_above_start(self, omega0: float, t_n: float, n_check: int = 1000) -> None:
-        """The contract must start un-knocked: B(t) > omega0 on [0, t_n]."""
-        levels = self.level(np.linspace(0.0, t_n, n_check), t_n)
+    def validate_above_start(self, omega0: float, t_n: float) -> None:
+        """The contract must start un-knocked: B(t) > omega0 on [0, t_n],
+        checked at 1000 evenly spaced times."""
+        levels = self.level(np.linspace(0.0, t_n, 1000), t_n)
         if np.min(levels) <= omega0:
             raise ValueError(
                 f"barrier path dips to {np.min(levels):.6g} <= start {omega0:.6g}"
@@ -260,10 +261,7 @@ def pi_mb_terms(
         )
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown scheme {scheme}")
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return merge_terms(total)
+    return merge_terms(TermSum(tuple(t for part in parts for t in part.terms), base.meta))
 
 
 # ---------------------------- direct evaluations --------------------------- #

@@ -213,8 +213,9 @@ def _poly_diff(p: Array, var: Var) -> Array:
 
 # ------------------------------- core algebra ------------------------------ #
 
-def merge_terms(f: TermSum, drop_below: float = 1e-300) -> TermSum:
-    """Add polynomials of terms sharing (exponent, erfc) keys; drop null terms."""
+def merge_terms(f: TermSum) -> TermSum:
+    """Add polynomials of terms sharing (exponent, erfc) keys; zero the
+    coefficients below 1e-300 in magnitude and drop null terms."""
     buckets: dict[tuple, list] = {}
     order: list[tuple] = []
     for term in f.terms:
@@ -227,7 +228,7 @@ def merge_terms(f: TermSum, drop_below: float = 1e-300) -> TermSum:
     out = []
     for k in order:
         poly, expo, earg = buckets[k]
-        poly = _poly_trim(np.where(np.abs(poly) < drop_below, 0.0, poly))
+        poly = _poly_trim(np.where(np.abs(poly) < 1e-300, 0.0, poly))
         if np.any(poly):
             out.append(GaussErfTerm(poly, expo, earg))
     return TermSum(tuple(out), f.meta)
@@ -265,21 +266,16 @@ def _diff_once(f: TermSum, var: Var) -> TermSum:
     return merge_terms(TermSum(tuple(out), f.meta))
 
 
-def differentiate(
-    f: TermSum,
-    var: Var,
-    order: int,
-    *,
-    cap: int = DERIVATIVE_CAP,
-) -> TermSum:
-    """Exact derivative of order ``order`` with respect to omega, the barrier
-    level, or (``"total"``) along D = d/d omega + d/d B."""
+def differentiate(f: TermSum, var: Var, order: int) -> TermSum:
+    """Exact derivative of order ``order`` (at most DERIVATIVE_CAP) with
+    respect to omega, the barrier level, or (``"total"``) along
+    D = d/d omega + d/d B."""
     if var not in ("omega", "barrier", "total"):
         raise ValueError(f"unknown derivative variable {var!r}")
     if order < 0:
         raise ValueError(f"derivative order must be non-negative, got {order}")
-    if order > cap:
-        raise ValueError(f"derivative order {order} above configured cap {cap}")
+    if order > DERIVATIVE_CAP:
+        raise ValueError(f"derivative order {order} above cap {DERIVATIVE_CAP}")
     for _ in range(order):
         f = _diff_once(f, var)
     return f

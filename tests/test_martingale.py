@@ -1,6 +1,7 @@
-"""Risk-neutral drift: the root solve, the closed-form series, and the
-fast in-loop shortcut must agree, and every solved drift must make the
-discounted exponential a true martingale under the expansion density."""
+"""Risk-neutral drift: solve_drift returns the closed-form series drift
+exactly, the independent order-15 integer table agrees with it, and every
+solved drift makes the discounted exponential a true martingale under the
+expansion density (checked by quadrature, not by the closed form)."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from scipy.integrate import quad
 
 from nongauss.expansion import CumulantSet, vanilla_terms
 from nongauss.martingale import (
+    DriftSolveError,
     RateSpec,
     drift_closed_form_k15,
     drift_from_series,
@@ -46,11 +48,11 @@ def test_gaussian_drift_closed_form():
 
 def test_three_routes_agree_on_skewed_set():
     c = CumulantSet(0.2, 1.0, (0.05, -0.02, 0.01))
-    a_root = solve_drift(c, RATES)
+    a_solved = solve_drift(c, RATES)
     a_closed = drift_closed_form_k15(c, RATES)
     a_series = drift_from_series(c, RATES)
-    assert a_closed == pytest.approx(a_root, abs=1e-10)
-    assert a_series == pytest.approx(a_root, abs=1e-10)
+    assert a_closed == pytest.approx(a_solved, abs=1e-10)
+    assert a_series == pytest.approx(a_solved, abs=1e-10)
 
 
 def test_solved_drift_kills_the_residual(rng):
@@ -66,6 +68,19 @@ def test_closed_form_matches_root_solve_broadly(rng):
         delta = abs(solve_drift(c, RATES) - drift_closed_form_k15(c, RATES))
         worst = max(worst, delta)
     assert worst < 1e-8
+
+
+def test_solve_drift_is_the_series_drift(rng):
+    # the checks around the closed form never move the value
+    for c in random_cumulant_sets(rng, 50, max_abs=0.05):
+        assert solve_drift(c, RATES) == drift_from_series(c, RATES)
+
+
+def test_nonpositive_moment_factor_is_a_drift_error():
+    # 1 + a_3 sigma^3 = 1 - (1000/6) 0.008 = -1/3: no drift can be a martingale
+    c = CumulantSet(0.2, 1.0, (-1000.0,), max_order=3)
+    with pytest.raises(DriftSolveError, match="not positive"):
+        solve_drift(c, RATES)
 
 
 def test_skew_lowers_the_drift():
