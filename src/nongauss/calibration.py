@@ -8,11 +8,13 @@ the second strike derivative,
 
     q(K) = e^{r_acc} d2C/dK2,      Pi(omega) = q(K) * K * sigma,
 
-and fit (sigma, kappa_3..kappa_max) of the expansion density to it by
-weighted least squares, re-solving the martingale drift at every step.  The
-second derivative is taken twice — analytically from a natural cubic spline
-on the price curve and by central differences — and the two routes must
-agree, which guards the spline against over- or under-smoothing.
+and fit (sigma, kappa_3..kappa_max) of the expansion density to it by a
+trust-region least-squares solve (``trf``) on the residual vector
+sqrt(w) (q_model - q) with ridge rows sqrt(RIDGE) kappa_n for n > 9,
+re-solving the martingale drift at every step.  The second derivative is
+taken twice — analytically from a natural cubic spline on the price curve
+and by central differences — and the two routes must agree, which guards
+the spline against over- or under-smoothing.
 
 Delta convention: forward delta of a call, premium-unadjusted, so
 K = F exp(-sigma sqrt(T) InvPhi(delta) + sigma^2 T / 2).
@@ -28,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, least_squares
 from scipy.special import ndtr, ndtri
 
 from .expansion import CumulantSet, density_vanilla, vanilla_terms
@@ -368,10 +370,6 @@ def regression_diagnostics(model_prices, market_prices) -> tuple[float, float, f
     return float(a_p), float(b_p), r2
 
 
-def _pack(sigma: float, kappas: Array) -> Array:
-    return np.concatenate(([sigma], kappas))
-
-
 def fit_parameters(sl: SmileSlice, max_order: int = 7) -> tuple[CumulantSet, CalibrationReport]:
     """Weighted least squares of the expansion density against the
     smile-implied one, in strike space.
@@ -384,19 +382,23 @@ def fit_parameters(sl: SmileSlice, max_order: int = 7) -> tuple[CumulantSet, Cal
     the recovered cumulants, and a parameter set reproducing the quotes
     drives the objective to numerical zero.
 
-    Five quotes carry little more than five numbers, so the parameter space
-    is built up by forward selection: the simplex first fits
+    The residual vector is sqrt(w) (q - target), weights w following the
+    target density so the body dominates, plus one ridge row
+    sqrt(RIDGE) kappa_n per order n > 9; the objective is its squared norm.
+    An inadmissible point returns a constant vector of squared norm
+    1e6 (1 + |x|^2).  Five quotes carry little more than five numbers, so
+    the parameter space is built up by forward selection: a trust-region
+    least-squares solve (``trf``, Jacobian-scaled) first fits
     (sigma, kappa_3, kappa_4) — from a coarse deterministic grid of
-    standardized skew/kurtosis starts, polishing the three most promising
-    and jittering the winner N_RESTARTS times — then offers one more
-    cumulant order at a time and keeps it only if the objective drops below
-    STAGE_GAMMA times the incumbent; otherwise selection stops.  That keeps
-    genuinely needed orders (their absence leaves a residual far above the
-    optimizer floor) while refusing orders that would only soak up noise.
+    standardized skew/kurtosis starts, polishing the three with the smallest
+    objective and jittering the winner N_RESTARTS times — then offers one
+    more cumulant order at a time and keeps it only if the objective drops
+    below STAGE_GAMMA times the incumbent; otherwise selection stops.  That
+    keeps genuinely needed orders (their absence leaves a residual far above
+    the optimizer floor) while refusing orders that would only soak up noise.
 
-    Weights follow the target density, so the body dominates.  The RIDGE
-    penalty applies to cumulant orders above 9 only.  Deterministic for a
-    fixed slice (the jitter generator is seeded with 0).
+    Raises ValueError if no admissible parameter set is found.
+    Deterministic for a fixed slice (the jitter generator is seeded with 0).
     """
     if not 7 <= max_order <= 15:
         raise ValueError("max_order must lie in [7, 15]")
@@ -406,11 +408,11 @@ def fit_parameters(sl: SmileSlice, max_order: int = 7) -> tuple[CumulantSet, Cal
     grid = grid_full[mask]
     target = bl.strike_density[mask]
     weights = np.maximum(target, 0.0)
-    weights = weights / weights.sum()
+    root_w = np.sqrt(weights / weights.sum())
     n_kappa = max_order - 2
     t_n = sl.t_n
     counter = {"n": 0}
-    k_quoted, _ = _smile_vol_curve(sl)
+    k_quoted, vol_at = _smile_vol_curve(sl)
     log_k = np.log(k_quoted / sl.s0)
 
     def quote_vols(c: CumulantSet) -> Array | None:
@@ -448,25 +450,24 @@ def fit_parameters(sl: SmileSlice, max_order: int = 7) -> tuple[CumulantSet, Cal
         _, _, q = _dense_strike_density(sl, _vol_quartic(sl.forward, k_quoted, vols), grid_full)
         return q[mask]
 
-    def objective(x: Array) -> float:
+    def residuals(x: Array) -> Array:
         counter["n"] += 1
         q = model_density(x)
+        ridge = math.sqrt(RIDGE) * x[8:]  # kappa_n for n > 9
         if q is None:
-            return 1e6 * (1.0 + float(np.sum(x * x)))
-        sse = float(np.sum(weights * (q - target) ** 2))
-        penalty = RIDGE * sum(
-            kap * kap for order, kap in enumerate(x[1:], start=3) if order > 9
-        )
-        return sse + penalty
+            n = target.size + ridge.size
+            return np.full(n, math.sqrt(1e6 * (1.0 + float(x @ x)) / n))
+        return np.concatenate((root_w * (q - target), ridge))
+
+    def objective(x: Array) -> float:
+        r = residuals(x)
+        return float(r @ r)
 
     def polish(x_start: Array):
-        res = minimize(
-            objective,
-            x_start,
-            method="Nelder-Mead",
-            options={"maxiter": 400 * len(x_start), "fatol": 1e-14, "xatol": 1e-8},
+        res = least_squares(
+            residuals, x_start, method="trf", x_scale="jac", ftol=1e-14, xtol=1e-14, gtol=1e-14
         )
-        return np.asarray(res.x), float(res.fun), bool(res.success), str(res.message)
+        return np.asarray(res.x), float(res.fun @ res.fun), bool(res.success), str(res.message)
 
     rng = np.random.default_rng(0)
     # short maturities put the smile far outside the small-kappa regime and
@@ -474,7 +475,7 @@ def fit_parameters(sl: SmileSlice, max_order: int = 7) -> tuple[CumulantSet, Cal
     # standardized units (kappa_n ~ t^{n/2}) and polish the most promising
     u3, u4 = t_n ** 1.5, t_n * t_n
     starts = [
-        _pack(sl.atm_vol, np.array([g1 * u3, g2 * u4]))
+        np.array([sl.atm_vol, g1 * u3, g2 * u4])
         for g1 in (-1.0, -0.5, 0.0, 0.5, 1.0)
         for g2 in (-0.5, 0.0, 0.5)
     ]
@@ -504,6 +505,9 @@ def fit_parameters(sl: SmileSlice, max_order: int = 7) -> tuple[CumulantSet, Cal
         else:
             break
     message = f"selected cumulant orders 3..{selected}; {message}"
+    q_model = model_density(best_x)
+    if q_model is None:
+        raise ValueError(f"slice {sl.date} {sl.maturity_months}m: found no admissible parameter set")
 
     sigma_fit = float(best_x[0])
     kappas_full = np.zeros(n_kappa)
@@ -512,13 +516,12 @@ def fit_parameters(sl: SmileSlice, max_order: int = 7) -> tuple[CumulantSet, Cal
     rates = RateSpec(sl.r_acc, t_n, sigma_fit)
     c_fit = c_fit.with_alpha(solve_drift(c_fit, rates))
 
-    q_model = model_density(best_x)
     rmse = float(np.sqrt(np.mean((q_model - target) ** 2)))
     f_fit = vanilla_terms(c_fit)
     neg = negative_mass(f_fit)
     k_reg = grid[:: max(1, len(grid) // 60)]
     market_prices = np.array(
-        [bs_call(sl.s0, k, float(v), t_n, sl.r_acc, sl.df) for k, v in zip(k_reg, _grid_vols(sl, k_reg))]
+        [bs_call(sl.s0, k, float(v), t_n, sl.r_acc, sl.df) for k, v in zip(k_reg, vol_at(k_reg))]
     )
     model_values, _ = integrate_payoff_with_stats(
         f_fit, np.log(k_reg / sl.s0) / sigma_fit, math.inf, sigma_fit, sl.s0, k_reg
@@ -538,11 +541,6 @@ def fit_parameters(sl: SmileSlice, max_order: int = 7) -> tuple[CumulantSet, Cal
         stage_objectives=tuple(stage_objs),
     )
     return c_fit, report
-
-
-def _grid_vols(sl: SmileSlice, grid: Array) -> Array:
-    _, vol_at = _smile_vol_curve(sl)
-    return vol_at(grid)
 
 
 # ----------------------------- synthetic smiles ---------------------------- #

@@ -226,6 +226,41 @@ def test_fit_is_deterministic():
     assert r1.objective == r2.objective and r1.n_evals == r2.n_evals
 
 
+def _market_slice(months, sigma, k3, k4):
+    # a row of scripts/make_synthetic_market.py: 3% a year, accrued over t
+    t_n = months / 12.0
+    c = CumulantSet(sigma, t_n, (k3, k4))
+    c = c.with_alpha(solve_drift(c, RateSpec(R_ACC * t_n, t_n, sigma)))
+    quotes, rr = synthetic_slice(c, s0=S0, r_acc=R_ACC * t_n, maturity_months=months)
+    return build_surface(S0, quotes, [rr]).slices()[0]
+
+
+@pytest.mark.parametrize(
+    "months, sigma, k3, k4",
+    [(1, 0.210, 0.020, -0.008), (3, 0.220, 0.045, -0.015), (12, 0.245, 0.085, -0.030)],
+)
+def test_market_row_round_trip_within_evaluation_budget(months, sigma, k3, k4):
+    # short maturities sit far outside the small-kappa regime, where the
+    # start grid has to steer clear of spurious local minima; the
+    # trust-region solve takes 111-279 residual evaluations on these rows,
+    # a scalar direct search over 1200 at 12 months
+    c_fit, report = fit_parameters(_market_slice(months, sigma, k3, k4))
+    assert report.converged
+    assert c_fit.sigma == pytest.approx(sigma, rel=5e-3)
+    assert c_fit.kappa(3) == pytest.approx(k3, rel=0.05)
+    assert c_fit.kappa(4) == pytest.approx(k4, rel=0.05)
+    assert report.n_evals <= 400
+
+
+def test_fit_without_admissible_point_names_the_slice():
+    # a flat 0.5% smile sits below the sigma >= 0.01 floor of the model
+    quotes = [SmileQuote("2024-01-02", 12, d, 0.005) for d in DELTA_GRID]
+    rr = RateRow("2024-01-02", 12, R_ACC, S0 * math.exp(R_ACC))
+    sl = build_surface(S0, quotes, [rr]).slices()[0]
+    with pytest.raises(ValueError, match=r"2024-01-02 12m: found no admissible parameter set"):
+        fit_parameters(sl)
+
+
 def test_staging_picks_up_fifth_cumulant():
     truth = _drifted(0.2, 1.0, (0.06, -0.03, 0.012))
     c_fit, report = fit_parameters(_slice_for(truth), max_order=7)

@@ -242,6 +242,19 @@ def test_calibrate_missing_csv_exits_2(outdir, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_calibrate_without_admissible_fit_exits_2(tmp_path, outdir, capsys):
+    smile = tmp_path / "smile.csv"
+    smile.write_text(
+        "date,maturity_months,delta,vol\n"
+        + "".join(f"2024-01-02,12,{d},0.005\n" for d in (0.1, 0.25, 0.5, 0.75, 0.9))
+    )
+    rates = tmp_path / "rates.csv"
+    rates.write_text("date,maturity_months,r_acc,forward\n2024-01-02,12,0.03,103.0454534\n")
+    rc = main(["calibrate", "--smile", str(smile), "--rates", str(rates), "--s0", "100"])
+    assert rc == 2
+    assert "no admissible parameter set" in capsys.readouterr().err
+
+
 # -------------------------------- experiment ------------------------------- #
 
 def test_experiment_writes_grid(tmp_path, outdir, capsys):
