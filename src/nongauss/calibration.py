@@ -33,7 +33,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, least_squares
 from scipy.special import ndtr, ndtri
 
-from .expansion import CumulantSet, density_vanilla, vanilla_terms
+from .expansion import CumulantSet, vanilla_terms
 from .martingale import RateSpec, drift_from_series, solve_drift
 from .pricing import bs_call, negative_mass
 from .symbolic import integrate_payoff_with_stats
@@ -115,6 +115,15 @@ class SmileSlice:
     r_acc: float
     deltas: tuple[float, ...]
     vols: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        # the density fit prices off s0 and the strikes off the forward
+        implied = self.s0 * math.exp(self.r_acc)
+        if abs(self.forward - implied) > 1e-9 * implied:
+            raise ValueError(
+                f"slice {self.date} {self.maturity_months}m: forward {self.forward:.12g}"
+                f" disagrees with s0 e^r_acc = {implied:.12g}"
+            )
 
     @property
     def t_n(self) -> float:

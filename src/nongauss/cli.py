@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
-    CsvFormatError,
     DELTA_GRID,
     RateRow,
     SmileQuote,
@@ -39,7 +38,7 @@ from .calibration import (
     read_rates_csv,
     read_smile_csv,
 )
-from .expansion import CumulantSet, density_barrier
+from .expansion import CumulantSet, barrier_terms, vanilla_terms
 from .martingale import (
     DriftSolveError,
     RateSpec,
@@ -140,12 +139,7 @@ def _scheme(cfg: RunConfig) -> MovingBarrierScheme:
 # ------------------------------ shared builders ----------------------------- #
 
 def _kappas(ns: argparse.Namespace) -> tuple[float, ...]:
-    if getattr(ns, "kappas", None):
-        return tuple(float(v) for v in ns.kappas.split(","))
-    kappas = [getattr(ns, f"kappa{n}", 0.0) or 0.0 for n in range(3, 8)]
-    while kappas and kappas[-1] == 0.0:
-        kappas.pop()
-    return tuple(kappas)
+    return tuple(float(v) for v in ns.kappas.split(",")) if ns.kappas else ()
 
 
 def _cumulant_set(ns: argparse.Namespace) -> CumulantSet:
@@ -180,29 +174,21 @@ def cmd_density(ns: argparse.Namespace, cfg: RunConfig) -> int:
     spread = 12.0 * math.sqrt(c.t_n)
     lo = ns.omega_min if ns.omega_min is not None else center - spread
     hi = ns.omega_max if ns.omega_max is not None else center + spread
-    if barrier is not None:
-        hi = min(hi, barrier.b_n)
-    grid = np.linspace(lo, hi, ns.n_points)
-    pi = density_barrier(c, barrier, _scheme(cfg), grid)
+    f = vanilla_terms(c) if barrier is None else barrier_terms(c, barrier, _scheme(cfg))
+    cap = math.inf if barrier is None else barrier.b_n  # absorbed above the barrier
+    grid = np.linspace(lo, min(hi, cap), ns.n_points)
+    pi = np.where(grid < cap, evaluate(f, grid), 0.0)
     out = Path(ns.out) if ns.out else cfg.resolved_out_dir() / "density.csv"
     with open(out, "w") as fh:
         fh.write("omega,pi\n")
         for w, p in zip(grid, pi):
             fh.write(f"{_fmt(w)},{_fmt(p)}\n")
     if ns.dump_terms:
-        payload = term_sum_to_jsonable(_density_terms(c, barrier, cfg))
+        payload = term_sum_to_jsonable(f)
         payload["schema_version"] = SCHEMA_VERSION
         Path(ns.dump_terms).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out} ({ns.n_points} points, mass {_fmt(float(np.trapezoid(pi, grid)))})")
     return 0
-
-
-def _density_terms(c: CumulantSet, barrier: BarrierPath | None, cfg: RunConfig):
-    from .expansion import barrier_terms, vanilla_terms
-
-    if barrier is None:
-        return vanilla_terms(c)
-    return barrier_terms(c, barrier, _scheme(cfg))
 
 
 def cmd_drift(ns: argparse.Namespace, cfg: RunConfig) -> int:
@@ -390,8 +376,6 @@ def _check_drift_consistency() -> tuple[float, float]:
 def _check_normalization() -> tuple[float, float]:
     from scipy.integrate import quad
 
-    from .expansion import vanilla_terms
-
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(5):
@@ -494,9 +478,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 def _add_model_flags(p: argparse.ArgumentParser, with_rates: bool = True) -> None:
     p.add_argument("--sigma", type=float, required=True, help="annualized volatility")
     p.add_argument("--t", type=float, default=1.0, help="horizon in years")
-    for n in range(3, 8):
-        p.add_argument(f"--kappa{n}", type=float, default=0.0)
-    p.add_argument("--kappas", help="comma list kappa3,kappa4,... (overrides --kappaN)")
+    p.add_argument("--kappas", help="comma list kappa3,kappa4,... (orders 3 to 15)")
     if with_rates:
         p.add_argument("--r-acc", dest="r_acc", type=float, default=0.0,
                        help="accumulated rate over the horizon (r*T)")
@@ -567,9 +549,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = merge_config(ns)
         return ns.func(ns, cfg)
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, DriftSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

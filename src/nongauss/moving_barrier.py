@@ -21,7 +21,8 @@ rather than clipping.
 
 All formulas are expressed in the (omega_n, B_n) term algebra of
 ``symbolic`` so that the cumulant expansion can differentiate them to high
-order in both variables.
+order in both variables.  There both schemes reduce to two weights on one
+image polynomial, w1 (B - w) + w2 (B - w)^2, plus the adiabatic Erfc tail.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .kernels import GaussKernelParams, barrier_density_gm
-from .symbolic import GaussErfTerm, LinForm, QuadExponent, TermMeta, TermSum, evaluate, merge_terms
+from .symbolic import GaussErfTerm, LinForm, QuadExponent, TermMeta, TermSum, merge_terms
 
 Array = np.ndarray
 
@@ -62,33 +63,27 @@ class BarrierPath:
 
     ``derivs[p-1]`` is the p-th time derivative B^(p) (units 1/time^p), so
     the path reconstructs as B(t) = b_n + sum_p derivs[p-1] (t - t_n)^p / p!
-    A linear barrier B(t) = B0 + xi t has derivs == (xi,).
+    A linear barrier B(t) = B0 + xi t has derivs == (xi,); a constant one
+    has no nonzero derivative.
     """
 
-    kind: str  # "constant" | "linear" | "polynomial"
     b_n: float
     derivs: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "derivs", tuple(float(d) for d in self.derivs))
-        if self.kind not in ("constant", "linear", "polynomial"):
-            raise ValueError(f"unknown barrier kind {self.kind!r}")
-        if self.kind == "constant" and any(d != 0.0 for d in self.derivs):
-            raise ValueError("constant barrier must have all derivatives zero")
-        if self.kind == "linear" and len(self.derivs) != 1:
-            raise ValueError("linear barrier takes exactly the slope derivative")
 
     @classmethod
     def constant(cls, b_n: float) -> "BarrierPath":
-        return cls("constant", b_n, ())
+        return cls(b_n, ())
 
     @classmethod
     def linear(cls, b_n: float, xi: float) -> "BarrierPath":
-        return cls("linear", b_n, (xi,))
+        return cls(b_n, (xi,))
 
     @classmethod
     def polynomial(cls, b_n: float, derivs: tuple[float, ...]) -> "BarrierPath":
-        return cls("polynomial", b_n, tuple(derivs))
+        return cls(b_n, tuple(derivs))
 
     def level(self, t, t_n: float):
         """Barrier level at time t (Taylor reconstruction around t_n)."""
@@ -178,90 +173,56 @@ def gm_terms(p: GaussKernelParams) -> TermSum:
     )
 
 
-def _b_minus_w_poly(scale: float) -> Array:
-    # scale * (B - w):  [0][1] -> B,  [1][0] -> w
-    return np.array([[0.0, scale], [-scale, 0.0]])
+def _correction_weights(t: float, barrier: BarrierPath, scheme: MovingBarrierScheme):
+    """Weights (w1, w2) of the image-Gaussian correction w1 (B - w) + w2 (B - w)^2."""
+    if scheme is MovingBarrierScheme.ST:
+        s1 = barrier.series_factor(t)
+        return s1 * 2.0 / (_SQRT_2PI * t ** 1.5), -s1 * s1 * 2.0 / (_SQRT_2PI * t ** 2.5)
+    if scheme is MovingBarrierScheme.ADIABATIC:
+        # w1: the B' term (a), then the Gaussian half of the B'' term (b);
+        # w2: the B'^2 term (c)
+        b1, b2 = barrier.deriv(1), barrier.deriv(2)
+        w1 = -_SQRT_2_OVER_PI * b1 / math.sqrt(t) + b2 * math.sqrt(t) / _SQRT_2PI
+        return w1, -_SQRT_2_OVER_PI * b1 * b1 / math.sqrt(t)
+    raise ValueError(f"unknown scheme {scheme}")  # pragma: no cover - enum is closed
 
 
-def _b_minus_w_sq_poly(scale: float) -> Array:
-    # scale * (B - w)^2
-    return np.array([[0.0, 0.0, scale], [0.0, -2.0 * scale, 0.0], [scale, 0.0, 0.0]])
-
-
-def _pi1_terms(p: GaussKernelParams, barrier: BarrierPath) -> TermSum:
-    s1 = barrier.series_factor(p.t)
-    if s1 == 0.0:
-        return TermSum((), _meta(p))
-    scale = s1 * 2.0 / (_SQRT_2PI * p.t ** 1.5)
-    return TermSum((GaussErfTerm(_b_minus_w_poly(scale), _image_expo(p)),), _meta(p))
-
-
-def _pi2_terms(p: GaussKernelParams, barrier: BarrierPath) -> TermSum:
-    s1 = barrier.series_factor(p.t)
-    if s1 == 0.0:
-        return TermSum((), _meta(p))
-    scale = -s1 * s1 * 2.0 / (_SQRT_2PI * p.t ** 2.5)
-    return TermSum((GaussErfTerm(_b_minus_w_sq_poly(scale), _image_expo(p)),), _meta(p))
-
-
-def _pi_a_terms(p: GaussKernelParams, barrier: BarrierPath) -> TermSum:
-    b1 = barrier.deriv(1)
-    if b1 == 0.0:
-        return TermSum((), _meta(p))
-    scale = -_SQRT_2_OVER_PI * b1 / math.sqrt(p.t)
-    return TermSum((GaussErfTerm(_b_minus_w_poly(scale), _image_expo(p)),), _meta(p))
-
-
-def _pi_b_terms(p: GaussKernelParams, barrier: BarrierPath) -> TermSum:
-    b2 = barrier.deriv(2)
-    if b2 == 0.0:
-        return TermSum((), _meta(p))
+def _erfc_tail(p: GaussKernelParams, b2: float) -> GaussErfTerm:
+    """Erfc half of the adiabatic B'' correction:
+    -(B''/2) (B - w)(B - w0) e^{alpha(w-w0)-alpha^2 t/2} Erfc((2B-w-w0)/sqrt(2t))."""
     t, a, w0 = p.t, p.alpha, p.omega0
-    # Gaussian part: B'' sqrt(t/2pi) (B - w) with the shared image exponent
-    gauss = GaussErfTerm(_b_minus_w_poly(b2 * math.sqrt(t) / _SQRT_2PI), _image_expo(p))
-    # Erfc part: -(B''/2) (B - w)(B - w0) e^{alpha(w-w0)-alpha^2 t/2} Erfc((2B-w-w0)/sqrt(2t))
-    poly = np.zeros((2, 3))
-    poly[0, 2] = 1.0
-    poly[0, 1] = -w0
-    poly[1, 1] = -1.0
-    poly[1, 0] = w0
-    poly *= -0.5 * b2
-    lin_expo = QuadExponent(c0=-a * w0 - 0.5 * a * a * t, cw=a)
+    poly = -0.5 * b2 * np.array([[0.0, -w0, 1.0], [w0, -1.0, 0.0]])
     root = 1.0 / math.sqrt(2.0 * t)
-    earg = LinForm(a0=-w0 * root, aw=-root, ab=2.0 * root)
-    return TermSum((gauss, GaussErfTerm(poly, lin_expo, earg)), _meta(p))
-
-
-def _pi_c_terms(p: GaussKernelParams, barrier: BarrierPath) -> TermSum:
-    b1 = barrier.deriv(1)
-    if b1 == 0.0:
-        return TermSum((), _meta(p))
-    scale = -_SQRT_2_OVER_PI * b1 * b1 / math.sqrt(p.t)
-    return TermSum((GaussErfTerm(_b_minus_w_sq_poly(scale), _image_expo(p)),), _meta(p))
+    return GaussErfTerm(
+        poly,
+        QuadExponent(c0=-a * w0 - 0.5 * a * a * t, cw=a),
+        LinForm(a0=-w0 * root, aw=-root, ab=2.0 * root),
+    )
 
 
 def pi_mb_terms(
     p: GaussKernelParams, barrier: BarrierPath, scheme: MovingBarrierScheme
 ) -> TermSum:
-    """Composite moving-barrier density Pi^mb as a bivariate TermSum.
+    """Composite moving-barrier density Pi^mb as a bivariate TermSum:
 
-    Evaluating the result at B = barrier.b_n gives the density; keeping B
-    symbolic lets the cumulant expansion take barrier derivatives.
+        Pi^mb = gm_terms + [w1 (B - w) + w2 (B - w)^2] e^{image exponent}
+                (+ the Erfc tail of the adiabatic B'' term when B'' != 0)
+
+    ST puts S in w1 and S^2 in w2; the adiabatic scheme puts B' and the
+    Gaussian half of B'' in w1 and B'^2 in w2.  A constant path gives zero
+    weights and the fixed-barrier kernel.  Evaluating the result at
+    B = barrier.b_n gives the density; keeping B symbolic lets the cumulant
+    expansion take barrier derivatives.
     """
     barrier.validate_above_start(p.omega0, p.t)
     base = gm_terms(p)
-    if scheme is MovingBarrierScheme.ST:
-        parts = (base, _pi1_terms(p, barrier), _pi2_terms(p, barrier))
-    elif scheme is MovingBarrierScheme.ADIABATIC:
-        parts = (
-            base,
-            _pi_a_terms(p, barrier),
-            _pi_b_terms(p, barrier),
-            _pi_c_terms(p, barrier),
-        )
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown scheme {scheme}")
-    return merge_terms(TermSum(tuple(t for part in parts for t in part.terms), base.meta))
+    w1, w2 = _correction_weights(p.t, barrier, scheme)
+    poly = np.array([[0.0, w1, w2], [-w1, -2.0 * w2, 0.0], [w2, 0.0, 0.0]])
+    terms = base.terms + (GaussErfTerm(poly, _image_expo(p)),)
+    b2 = barrier.deriv(2)
+    if scheme is MovingBarrierScheme.ADIABATIC and b2 != 0.0:
+        terms += (_erfc_tail(p, b2),)
+    return merge_terms(TermSum(terms, base.meta))
 
 
 # ---------------------------- direct evaluations --------------------------- #

@@ -229,7 +229,7 @@ def bs_kuo_closed_form(spec: OptionSpec) -> float:
     """
     if spec.barrier is None:
         raise ValueError("bs_kuo_closed_form requires a barrier")
-    if spec.barrier.kind != "constant":
+    if any(spec.barrier.derivs):
         raise ValueError("closed form covers constant barriers only")
     r = spec.rates
     alpha = gaussian_drift(r)

@@ -24,7 +24,6 @@ degree 32 per variable, which is comfortable for order-15 derivatives.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
@@ -47,7 +46,6 @@ __all__ = [
     "integrate_exp_poly",
     "substitute_barrier",
     "term_sum_to_jsonable",
-    "dump_term_sum",
     "truncation_window",
 ]
 
@@ -465,8 +463,3 @@ def term_sum_to_jsonable(f: TermSum) -> dict:
             for t in f.terms
         ],
     }
-
-
-def dump_term_sum(f: TermSum, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(term_sum_to_jsonable(f), fh, indent=2)

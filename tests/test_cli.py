@@ -25,23 +25,24 @@ def outdir(tmp_path, monkeypatch):
     return d
 
 
-def _write_market(tmp_path, months=12, sigma=0.22, kappas=(0.06, -0.02), r=0.03):
-    t_n = months / 12.0
-    c = CumulantSet(sigma, t_n, kappas)
-    c = c.with_alpha(solve_drift(c, RateSpec(r * t_n, t_n, sigma)))
-    quotes, rr = synthetic_slice(c, s0=100.0, r_acc=r * t_n, maturity_months=months)
+def _write_market(tmp_path, rows=((12, 0.22, (0.06, -0.02)),), r=0.03):
+    """Synthetic smile/rates CSVs at s0 = 100, one slice per (months, sigma,
+    kappas) row."""
     smile = tmp_path / "smile.csv"
-    with open(smile, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "maturity_months", "delta", "vol"])
-        for q in quotes:
-            w.writerow([q.date, q.maturity_months, q.delta, f"{q.vol:.12g}"])
     rates = tmp_path / "rates.csv"
-    with open(rates, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "maturity_months", "r_acc", "forward"])
-        w.writerow([rr.date, rr.maturity_months, f"{rr.r_acc:.12g}", f"{rr.forward:.12g}"])
-    return smile, rates, c
+    with open(smile, "w", newline="") as fs, open(rates, "w", newline="") as fr:
+        ws, wr = csv.writer(fs), csv.writer(fr)
+        ws.writerow(["date", "maturity_months", "delta", "vol"])
+        wr.writerow(["date", "maturity_months", "r_acc", "forward"])
+        for months, sigma, kappas in rows:
+            t_n = months / 12.0
+            c = CumulantSet(sigma, t_n, kappas)
+            c = c.with_alpha(solve_drift(c, RateSpec(r * t_n, t_n, sigma)))
+            quotes, rr = synthetic_slice(c, s0=100.0, r_acc=r * t_n, maturity_months=months)
+            for q in quotes:
+                ws.writerow([q.date, q.maturity_months, q.delta, f"{q.vol:.12g}"])
+            wr.writerow([rr.date, rr.maturity_months, f"{rr.r_acc:.12g}", f"{rr.forward:.12g}"])
+    return smile, rates
 
 
 # --------------------------------- config ---------------------------------- #
@@ -94,9 +95,17 @@ def test_removed_quad_tol_config_key_exits_2(tmp_path, outdir, capsys):
 
 
 def test_out_dir_env_var_is_honored(outdir, capsys):
-    rc = main(["density", "--sigma", "0.2", "--kappa3", "0.05", "--r-acc", "0.05"])
+    rc = main(["density", "--sigma", "0.2", "--kappas", "0.05", "--r-acc", "0.05"])
     assert rc == 0
     assert (outdir / "density.csv").exists()
+
+
+# cumulants have one flag, --kappas; the former per-order flags are unknown
+def test_removed_per_order_kappa_flag_exits_2(outdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--sigma", "0.2", "--kappa3", "0.05"])
+    assert exc.value.code == 2
+    assert "--kappa3" in capsys.readouterr().err
 
 
 def test_run_config_defaults_round_trip():
@@ -129,7 +138,7 @@ def test_drift_routes_agree_with_skew(outdir, capsys):
 
 # a skew so large that the martingale condition has no root near the
 # Gaussian drift: the solve fails and the command exits 2, not a traceback
-NO_DRIFT_ROOT = ["--sigma", "0.2", "--t", "0.01", "--kappa3", "10", "--r-acc", "0"]
+NO_DRIFT_ROOT = ["--sigma", "0.2", "--t", "0.01", "--kappas", "10", "--r-acc", "0"]
 
 
 def test_drift_without_root_exits_2(outdir, capsys):
@@ -142,7 +151,7 @@ def test_drift_without_root_exits_2(outdir, capsys):
 # --------------------------------- density --------------------------------- #
 
 def test_density_gaussian_mass_is_one(outdir, capsys):
-    rc = main(["density", "--sigma", "0.2", "--kappa3", "0", "--barrier", "none",
+    rc = main(["density", "--sigma", "0.2", "--kappas", "0", "--barrier", "none",
                "--r-acc", "0.05"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -155,7 +164,7 @@ def test_density_gaussian_mass_is_one(outdir, capsys):
 
 
 def test_density_with_barrier_and_term_dump(outdir, capsys):
-    rc = main(["density", "--sigma", "0.2", "--kappa3", "0.04", "--barrier", "1.2",
+    rc = main(["density", "--sigma", "0.2", "--kappas", "0.04", "--barrier", "1.2",
                "--r-acc", "0.05", "--dump-terms", str(outdir / "terms.json")])
     assert rc == 0
     payload = json.loads((outdir / "terms.json").read_text())
@@ -218,7 +227,7 @@ def test_price_without_drift_root_exits_2(outdir, capsys):
 # -------------------------------- calibrate -------------------------------- #
 
 def test_calibrate_end_to_end(tmp_path, outdir, capsys):
-    smile, rates, truth = _write_market(tmp_path)
+    smile, rates = _write_market(tmp_path)
     rc = main(["calibrate", "--smile", str(smile), "--rates", str(rates),
                "--s0", "100"])
     assert rc == 0
@@ -234,6 +243,34 @@ def test_calibrate_end_to_end(tmp_path, outdir, capsys):
         rows = list(csv.DictReader(fh))
     assert rows[0]["maturity_months"] == "12"
     assert float(rows[0]["r_squared"]) >= 0.9999
+
+
+# the fit prices off s0 and the strikes off the CSV forward, so the two must
+# agree; the CLI's default s0 of 1.0 is as wrong for this market as 99 is
+@pytest.mark.parametrize("s0_flag", [["--s0", "99"], []], ids=["s0-99", "s0-default"])
+def test_calibrate_spot_forward_mismatch_exits_2(tmp_path, outdir, capsys, s0_flag):
+    smile, rates = _write_market(tmp_path)
+    rc = main(["calibrate", "--smile", str(smile), "--rates", str(rates), *s0_flag])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "slice 2024-01-02 12m: forward 103.045453395" in err
+    assert "disagrees with s0 e^r_acc" in err
+
+
+def test_calibrate_jobs_do_not_change_the_output(tmp_path, outdir, capsys):
+    # the 6- and 12-month rows of scripts/make_synthetic_market.py
+    smile, rates = _write_market(
+        tmp_path, rows=((6, 0.230, (0.065, -0.022)), (12, 0.245, (0.085, -0.030)))
+    )
+    summaries = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main(["calibrate", "--smile", str(smile), "--rates", str(rates),
+                   "--s0", "100", "--jobs", jobs, "--out-dir", str(out)])
+        assert rc == 0
+        summaries.append((out / "calibration_summary.csv").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert summaries[0].count(b"\n") == 3  # header + two slices
 
 
 def test_calibrate_missing_csv_exits_2(outdir, capsys):
@@ -258,7 +295,7 @@ def test_calibrate_without_admissible_fit_exits_2(tmp_path, outdir, capsys):
 # -------------------------------- experiment ------------------------------- #
 
 def test_experiment_writes_grid(tmp_path, outdir, capsys):
-    smile, rates, _ = _write_market(tmp_path)
+    smile, rates = _write_market(tmp_path)
     rc = main(["experiment", "--smile", str(smile), "--rates", str(rates),
                "--s0", "100", "--theta", "1.2,1.5"])
     assert rc == 0

@@ -55,12 +55,6 @@ def test_polynomial_path_matches_taylor_sum():
 
 
 def test_path_validation():
-    with pytest.raises(ValueError):
-        BarrierPath("linear", 1.0, ())
-    with pytest.raises(ValueError):
-        BarrierPath("constant", 1.0, (0.5,))
-    with pytest.raises(ValueError):
-        BarrierPath("spline", 1.0, ())
     # a path dipping below the start is rejected at evaluation time
     # (b_n=0.1 with slope +2 starts at 0.1 - 2 = -1.9, under omega0=0)
     steep = BarrierPath.linear(b_n=0.1, xi=2.0)
@@ -81,14 +75,16 @@ def test_constant_path_reduces_to_fixed_kernel(scheme):
 
 @pytest.mark.parametrize("scheme", list(MovingBarrierScheme))
 def test_term_sum_route_agrees_with_direct_route(scheme):
-    path = BarrierPath.linear(b_n=1.0, xi=0.15)
-    f = pi_mb_terms(P, path, scheme)
-    np.testing.assert_allclose(
-        evaluate(f, W_GRID, b_n=path.b_n),
-        pi_mb(P, path, scheme, W_GRID),
-        rtol=1e-12,
-        atol=1e-15,
-    )
+    # the curved path exercises the adiabatic Erfc tail and the ST series with B''
+    paths = (BarrierPath.linear(b_n=1.0, xi=0.15), BarrierPath.polynomial(1.0, (0.15, -0.3)))
+    for path in paths:
+        f = pi_mb_terms(P, path, scheme)
+        np.testing.assert_allclose(
+            evaluate(f, W_GRID, b_n=path.b_n),
+            pi_mb(P, path, scheme, W_GRID),
+            rtol=1e-12,
+            atol=1e-15,
+        )
 
 
 # ---------------------- cross-scheme exact identities ---------------------- #

@@ -7,6 +7,7 @@ prices monotone in strike and barrier) guard the non-Gaussian branch."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,13 @@ def test_strike_above_barrier_prices_to_zero():
     spec = _spec("kuo_call", 1.0, 1.2, 1.0, 0.2, 0.05, 1.1)
     assert price_kuo_call(spec, c).price == 0.0
     assert bs_kuo_closed_form(spec) == 0.0
+
+
+def test_closed_form_rejects_moving_barrier():
+    spec = _spec("kuo_call", 100.0, 100.0, 1.0, 0.2, 0.05, 120.0)
+    moving = dataclasses.replace(spec, barrier=BarrierPath.linear(spec.barrier.b_n, 0.1))
+    with pytest.raises(ValueError, match="constant barriers only"):
+        bs_kuo_closed_form(moving)
 
 
 def test_kuo_below_vanilla_and_converges_to_it():
